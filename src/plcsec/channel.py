@@ -92,12 +92,13 @@ class PinholeTopology:
     pinhole_present: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_destinations, (int, np.integer)) or isinstance(
-            self.n_destinations, bool
-        ):
-            raise ConfigError("n_destinations must be an integer")
-        if self.n_destinations < 1:
-            raise ConfigError("n_destinations must be >= 1")
+        if not is_destination_count(self.n_destinations):
+            raise ConfigError("n_destinations must be a positive integer")
+
+
+def is_destination_count(n) -> bool:
+    """True for a positive integer, numpy integers included and bools not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
 def _check_positive(x, what: str) -> np.ndarray:

@@ -15,28 +15,30 @@ provided for its average:
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
   of transmit power) and integrating tail powers through the exponential
-  Q-fit.  Every term reduces to the half-axis Gaussian segment integrals of
-  :mod:`plcsec.special_math`.
+  Q-fit.  Single terms reduce to the half-axis Gaussian segment integrals
+  of :mod:`plcsec.special_math`.
 * ``poi_quadrature`` / ``poi_closed_form`` -- the probability that the
   eavesdropper's rate exceeds the scheduled destination's.  The shared gain
   and the transmit power cancel in the defining inequality, so both
   functions are structurally independent of transmit power.
 
-The alternating binomial sums in the closed forms cancel catastrophically as
-the number of destinations grows (term magnitudes grow like exp(0.55 N)
-while the sum stays bounded), so beyond a small N they are evaluated in
-arbitrary precision and rounded once at the end.  The largest intermediate
-term magnitude is reported as a conditioning diagnostic.
+Expanding the tail powers binomially would give alternating sums whose
+terms grow like exp(0.55 N) while the sum stays bounded.  Each such sum is
+evaluated instead as the bounded half-line integral it expands,
+``E[(c0 + c1 T) (1 - Qfit(T))^M ; T > 0]`` over a Gaussian T, by a fixed
+composite Gauss-Legendre rule in double precision; only the single exact
+terms go through the segment integrals.  Cost and accuracy do not depend on
+N, and the integrals' error estimate is reported as ``integration_error``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
-import mpmath
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import special as sps
 
 from .channel import LinkParams, PinholeTopology, effective_links
@@ -45,6 +47,7 @@ from .noise import NoiseEvent, NoiseParams, noise_events
 from .special_math import (
     DEFAULT_Q_APPROX,
     DEFAULT_QUAD_ORDER,
+    SQRT_2PI,
     QApproxParams,
     QuadratureRule,
     gauss_hermite_rule,
@@ -65,12 +68,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-# Index above which alternating binomial sums switch to arbitrary precision.
-_MP_SUM_THRESHOLD = 25
-# Binomial coefficients overflow double precision alarmingly close to this,
-# and required working precision grows linearly; keep a hard ceiling.
-_MAX_CLOSED_FORM_N = 1000
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,9 @@ class SecrecyResult:
     """A metric value with its evaluation route.
 
     ``ci_halfwidth`` is nonzero only for Monte Carlo estimates.
-    ``diagnostics`` carries accuracy indicators such as the largest
-    intermediate term of an alternating sum or a negative quadrature value.
+    ``diagnostics`` carries accuracy indicators: the closed forms'
+    ``integration_error`` (error estimate of their half-line integrals) or a
+    negative quadrature value.
     """
 
     value: float
@@ -321,140 +319,47 @@ def asymptotic_constants(cfg: SystemConfig, j: int, k: int, n: int) -> Asymptoti
 
 
 # ---------------------------------------------------------------------------
-# Alternating-sum engines (double precision below the threshold, arbitrary
-# precision above it; the largest term magnitude is always tracked)
+# Half-line integral behind the alternating binomial sums
 # ---------------------------------------------------------------------------
 
-
-def _pos_bracket(a: float, b: float, c0: float, c1: float) -> float:
-    seg = gaussian_segment_integrals(a, b)
-    return c0 * seg.i_pos + c1 * seg.i_pos_t
-
-
-def _neg_bracket(a: float, b: float, c0: float, c1: float) -> float:
-    seg = gaussian_segment_integrals(a, b)
-    return c0 * seg.i_neg + c1 * seg.i_neg_t
-
-
-def _mp_phi(b):
-    return mpmath.exp(-b * b / 2) / mpmath.sqrt(2 * mpmath.pi)
+# Composite Gauss-Legendre rule in standard-normal units: panels of at most
+# _PANEL_WIDTH up to _Z_MAX (where the density is below 1e-330).  The
+# 8-node rule on the same panels, evaluated in the same pass, gives the
+# error estimate.
+_PANEL_WIDTH = 0.5
+_Z_MAX = 39.0
+_GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(16), leggauss(8)])
+_GL_FINE = slice(0, 16)
+_GL_COARSE = slice(16, None)
+_EPS = np.finfo(float).eps
 
 
-def _mp_cdf(b):
-    return mpmath.erfc(-b / mpmath.sqrt(2)) / 2
-
-
-def _mp_pos_bracket(a, b, c0, c1):
-    cdf = _mp_cdf(b)
-    return c0 * cdf / a + c1 * (_mp_phi(b) + b * cdf) / (a * a)
-
-
-def _alternating_sum(
-    m_top: int,
-    term_float: Callable[[int], float],
-    term_mp: Callable[[int], "mpmath.mpf"],
+def _tail_power_integral(
+    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float = 1.0, c1: float = 0.0
 ) -> tuple[float, float]:
-    """Sum ``term(n)`` for n = 0..m_top, returning (sum, max |term|).
+    """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``.
 
-    Below the threshold the terms are exact-summed in double precision.
-    Above it every term is rebuilt in arbitrary precision: the terms
-    themselves are what lose accuracy (their magnitude grows exponentially
-    with the index while the sum stays bounded), so compensated summation of
-    double-precision terms would not help.
+    Expanding ``(1 - Qfit)^m`` binomially gives the closed forms' alternating
+    sums term by term; integrating the power directly, as
+    ``exp(m log1p(-Qfit))``, avoids their cancellation.  Returns the value and
+    an error estimate: the gap to the coarse rule plus a rounding allowance
+    that grows with the magnitude of each node's exponent.
     """
-    if m_top < _MP_SUM_THRESHOLD:
-        terms = [term_float(n) for n in range(m_top + 1)]
-        return math.fsum(terms), max(abs(v) for v in terms)
-    with mpmath.workdps(30 + int(0.35 * m_top)):
-        terms = [term_mp(n) for n in range(m_top + 1)]
-        total = mpmath.fsum(terms)
-        largest = max(abs(v) for v in terms)
-        return float(total), float(largest)
-
-
-def _dest_minus_sum(
-    qp: QApproxParams, big_n: int, c0: float, c1: float
-) -> tuple[float, float]:
-    """Positive-half-axis destination term of the asymptotic average."""
-
-    def term_float(n: int) -> float:
-        a, b_bar, _, d = _dest_family(qp, n)
-        sign = -1.0 if n % 2 else 1.0
-        return (
-            sign
-            * math.comb(big_n - 1, n)
-            * d
-            * _pos_bracket(a, b_bar, c0, c1)
-            * big_n
-            / LN2
-        )
-
-    def term_mp(n: int):
-        k1, k2, k3 = mpmath.mpf(qp.k1), mpmath.mpf(qp.k2), mpmath.mpf(qp.k3)
-        a = mpmath.sqrt(2 * n * k1 + 1)
-        b_bar = -n * k2 / a
-        c = 2 * n * k3
-        d = mpmath.exp(-(c - b_bar * b_bar) / 2)
-        sign = -1 if n % 2 else 1
-        return (
-            sign
-            * mpmath.mpf(math.comb(big_n - 1, n))
-            * d
-            * _mp_pos_bracket(a, b_bar, mpmath.mpf(c0), mpmath.mpf(c1))
-            * big_n
-            / mpmath.log(2)
-        )
-
-    return _alternating_sum(big_n - 1, term_float, term_mp)
-
-
-def _eav_minus_sum(
-    qp: QApproxParams,
-    big_n: int,
-    lam: float,
-    phi_e: float,
-    c0: float,
-    c1: float,
-    include_rate: bool,
-) -> tuple[float, float]:
-    """Positive-half-axis eavesdropper sum, shared by the asymptotic average
-    (``include_rate=True``, an extra 1/ln 2 and the t-weighted part) and the
-    closed-form intercept probability (``include_rate=False``, mass only)."""
-    scale = 1.0 / (phi_e * LN2) if include_rate else 1.0 / phi_e
-
-    def term_float(n: int) -> float:
-        a, _, b_bar, _, _, d_bar = _eav_family(qp, n, lam, phi_e)
-        sign = -1.0 if n % 2 else 1.0
-        if include_rate:
-            bracket = _pos_bracket(a, b_bar, c0, c1)
-        else:
-            bracket = gaussian_segment_integrals(a, b_bar).i_pos
-        return sign * math.comb(big_n, n) * d_bar * bracket * scale
-
-    def term_mp(n: int):
-        k1, k2, k3 = mpmath.mpf(qp.k1), mpmath.mpf(qp.k2), mpmath.mpf(qp.k3)
-        lam_mp = mpmath.mpf(lam)
-        inv2 = 1 / (mpmath.mpf(phi_e) ** 2)
-        a = mpmath.sqrt(2 * n * k1 + inv2)
-        b_bar = (-n * k2 + lam_mp * inv2) / a
-        c = 2 * n * k3 + lam_mp * lam_mp * inv2
-        d_bar = mpmath.exp(-(c - b_bar * b_bar) / 2)
-        sign = -1 if n % 2 else 1
-        if include_rate:
-            bracket = _mp_pos_bracket(a, b_bar, mpmath.mpf(c0), mpmath.mpf(c1))
-        else:
-            bracket = _mp_cdf(b_bar) / a
-        return sign * mpmath.mpf(math.comb(big_n, n)) * d_bar * bracket * mpmath.mpf(scale)
-
-    return _alternating_sum(big_n, term_float, term_mp)
-
-
-def _check_closed_form_n(n: int) -> None:
-    if n > _MAX_CLOSED_FORM_N:
-        raise ConfigError(
-            f"closed forms support at most {_MAX_CLOSED_FORM_N} destinations "
-            "(alternating binomial sums lose precision beyond that)"
-        )
+    lo = max(-lam / sigma, -_Z_MAX)
+    if lo >= _Z_MAX:
+        return 0.0, 0.0
+    panels = math.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
+    half = 0.5 * (_Z_MAX - lo) / panels
+    mids = lo + half * (2.0 * np.arange(panels) + 1.0)
+    z = mids[:, None] + half * _GL_NODES
+    t = lam + sigma * z
+    q = np.exp(-(qp.k1 * t * t + qp.k2 * t + qp.k3))
+    exponent = m * np.log1p(-q) - 0.5 * z * z
+    wf = (c0 + c1 * t) * np.exp(exponent) * (_GL_WEIGHTS * half / SQRT_2PI)
+    fine = float(wf[:, _GL_FINE].sum())
+    coarse = float(wf[:, _GL_COARSE].sum())
+    rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
+    return fine, abs(fine - coarse) + rounding
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +367,28 @@ def _check_closed_form_n(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _neg_bracket(a: float, b: float, c0: float, c1: float) -> float:
+    seg = gaussian_segment_integrals(a, b)
+    return c0 * seg.i_neg + c1 * seg.i_neg_t
+
+
 def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyResult:
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n_dest = topo.n_destinations
-    _check_closed_form_n(n_dest)
     qp = cfg.q_approx
     phi_e = eav.s / dest.s
 
     total = 0.0
-    largest = 0.0
+    error = 0.0
     for ev in _tilde_events(cfg):
         lam = _event_offset(ev, dest, eav)
         c0_b = math.log(ev.alpha_b) + dest.m
 
-        dest_minus, mt = _dest_minus_sum(qp, n_dest, c0_b, dest.s)
-        largest = max(largest, mt)
+        dest_minus, err = _tail_power_integral(qp, 0.0, 1.0, n_dest - 1, c0_b, dest.s)
         eav_zero = (math.log(ev.alpha_e) + eav.m) / LN2
-        event_value = dest_minus - eav_zero
+        event_value = n_dest / LN2 * dest_minus - eav_zero
+        event_error = n_dest / LN2 * err
 
         if keep_vanishing_terms:
             a, b_bar, _, d = _dest_family(qp, n_dest - 1)
@@ -489,19 +398,20 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
             ea, eb, _, _, ed, _ = _eav_family(qp, n_dest, lam, phi_e)
             eav_plus = ed / (phi_e * LN2) * _neg_bracket(ea, eb, c0_e, eav.s / phi_e)
-            eav_minus, mt = _eav_minus_sum(
-                qp, n_dest, lam, phi_e, c0_e, eav.s / phi_e, include_rate=True
+            eav_minus, err = _tail_power_integral(
+                qp, lam, phi_e, n_dest, c0_e, eav.s / phi_e
             )
-            largest = max(largest, mt)
-            event_value += dest_plus - eav_plus - eav_minus
+            event_value += dest_plus - eav_plus - eav_minus / LN2
+            event_error += err / LN2
 
         total += ev.probability * event_value
+        error += ev.probability * event_error
 
     method = "asymptotic" if keep_vanishing_terms else "asymptotic-large-n"
     return SecrecyResult(
         value=total,
         method=method,
-        diagnostics={"max_alternating_term": largest},
+        diagnostics={"integration_error": error},
     )
 
 
@@ -534,31 +444,29 @@ def asc_asymptotic_large_n(cfg: SystemConfig) -> SecrecyResult:
 def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
     """Intercept probability assembled from the segment-integral constants.
 
-    Same contest factor as :func:`poi_quadrature`, but the tail power is
-    expanded through the exponential Q-fit, leaving one Gaussian segment
-    integral per binomial term.  Transmit power never enters.
+    Same contest factor as :func:`poi_quadrature`, but the tail power goes
+    through the exponential Q-fit: the negative half-axis is one Gaussian
+    segment integral, the positive one a half-line integral of the fitted
+    tail power.  Transmit power never enters.
     """
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n_dest = topo.n_destinations
-    _check_closed_form_n(n_dest)
     qp = cfg.q_approx
     phi_e = eav.s / dest.s
 
     total = 0.0
-    largest = 0.0
+    error = 0.0
     for ev in _tilde_events(cfg):
         lam = _event_offset(ev, dest, eav)
         a, b, _, _, d, _ = _eav_family(qp, n_dest, lam, phi_e)
         head = d * gaussian_segment_integrals(a, b).i_neg / phi_e
-        tail, mt = _eav_minus_sum(
-            qp, n_dest, lam, phi_e, 0.0, 0.0, include_rate=False
-        )
-        largest = max(largest, mt)
+        tail, err = _tail_power_integral(qp, lam, phi_e, n_dest)
         total += ev.probability * (head + tail)
+        error += ev.probability * err
 
     return SecrecyResult(
         value=total,
         method="closed-form-poi",
-        diagnostics={"max_alternating_term": largest},
+        diagnostics={"integration_error": error},
     )

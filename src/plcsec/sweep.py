@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import PinholeTopology, link_params_from_db
+from .channel import PinholeTopology, is_destination_count, link_params_from_db
 from .errors import ConfigError, PlcsecError
 from .metrics import (
     SecrecyResult,
@@ -97,8 +97,10 @@ class ScenarioParams:
         for name in ("bg_var_b", "bg_var_e"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        if not isinstance(self.n_destinations, int) or self.n_destinations < 1:
+        if not is_destination_count(self.n_destinations):
             raise ConfigError("n_destinations must be a positive integer")
+        # A plain int keeps the resolved config YAML-dumpable.
+        object.__setattr__(self, "n_destinations", int(self.n_destinations))
 
     def system_config(
         self,
@@ -111,6 +113,12 @@ class ScenarioParams:
         sweep axis quantities."""
         p_db = self.transmit_power_db if power_db is None else power_db
         n = self.n_destinations if n_destinations is None else n_destinations
+        try:
+            power = 10.0 ** (p_db / 10.0)
+        except OverflowError:
+            raise ConfigError(
+                f"transmit_power_db={p_db} overflows the linear transmit power"
+            ) from None
         topo = PinholeTopology(
             source_link=link_params_from_db(self.m_a_db, self.s_a_db),
             destination_link=link_params_from_db(self.m_b_db, self.s_b_db),
@@ -130,7 +138,7 @@ class ScenarioParams:
                 impulse_ratio=self.eta_e,
                 impulse_prob=self.p_e,
             ),
-            transmit_power=10.0 ** (p_db / 10.0),
+            transmit_power=power,
             quadrature=gauss_hermite_rule(quad_order),
         )
 

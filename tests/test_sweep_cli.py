@@ -4,13 +4,16 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import plcsec.sweep as sweep_mod
 from plcsec import (
     ConfigError,
     EvaluationError,
+    LinkParams,
     McConfig,
+    PinholeTopology,
     ScenarioParams,
     SweepSpec,
     available_presets,
@@ -65,6 +68,20 @@ class TestSweepSpecValidation:
     def test_rejects_bad_quadrature_order(self):
         with pytest.raises(ConfigError):
             small_spec(quadrature_order=0)
+
+    @pytest.mark.parametrize(
+        "n, valid", [(10, True), (np.int64(10), True), (True, False), (0, False), (2.0, False)]
+    )
+    def test_destination_count_checks_agree(self, n, valid):
+        link = LinkParams(-4.6, 1.4)
+        if not valid:
+            with pytest.raises(ConfigError):
+                ScenarioParams(n_destinations=n)
+            with pytest.raises(ConfigError):
+                PinholeTopology(link, link, link, n_destinations=n)
+            return
+        assert PinholeTopology(link, link, link, n_destinations=n).n_destinations == 10
+        assert type(ScenarioParams(n_destinations=n).n_destinations) is int
 
 
 class TestRunSweep:
@@ -273,18 +290,18 @@ class TestCli:
         assert "config error" in err
 
     def test_row_errors_exit_one_but_emit_surviving_rows(self, tmp_path, capsys):
-        # n=1001 passes validation but the closed form rejects it at
-        # evaluation time, producing a row error while the sweep continues.
-        cfg = tmp_path / "poi.yaml"
+        # 4000 dB passes validation but overflows the linear transmit power
+        # at evaluation time, producing a row error while the sweep continues.
+        cfg = tmp_path / "asc.yaml"
         cfg.write_text(
-            "preset: fig8\nvariant: base\n"
-            "values: [1, 1001]\nmethods: [closed-form-poi]\n"
+            "preset: fig3\nvariant: n10-ph\n"
+            "values: [20, 4000]\nmethods: [quadrature]\n"
         )
         code = main(["sweep", str(cfg)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out.count("\n") == 2  # header + the n=1 row
-        assert "1001" in captured.err and "ERROR" in captured.err
+        assert captured.out.count("\n") == 2  # header + the 20 dB row
+        assert "4000" in captured.err and "ERROR" in captured.err
 
     def test_preset_run_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
@@ -297,6 +314,21 @@ class TestCli:
         assert "mb-20" in text and "mb-30" in text
         # 36 grid points x 3 methods per variant plus headers.
         assert text.count("\n") >= 2 * (36 * 3 + 2)
+
+    def test_import_leaves_out_mpmath_and_scipy_integrate(self):
+        # Both would add import time and resident memory to every run.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import plcsec, sys; "
+                "print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_entry_point_help(self):
         proc = subprocess.run(
