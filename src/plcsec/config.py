@@ -9,13 +9,15 @@ resolved canonical form, and ``load(dump(spec))`` is the identity.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
 from .montecarlo import McConfig
-from .sweep import ScenarioParams, SweepSpec
+from .special_math import DEFAULT_QUAD_ORDER
+from .sweep import DEFAULT_MC, ScenarioParams, SweepSpec
 
 __all__ = ["dump_config", "load_config", "loads_config", "spec_to_dict"]
 
@@ -173,11 +175,11 @@ def _scenario(data: dict) -> ScenarioParams:
 
 def _mc(data) -> McConfig:
     if data is None:
-        return McConfig(samples=1_000_000, seed=20230117, workers=1)
+        return DEFAULT_MC
     if not isinstance(data, dict):
         raise ConfigError("monte_carlo: expected a mapping")
     _check_keys(data, _MC_KEYS, "monte_carlo")
-    kwargs = {"samples": 1_000_000, "seed": 20230117, "workers": 1, "confidence": 0.99}
+    kwargs = {}
     for key in ("samples", "seed", "workers"):
         if key in data:
             value = data[key]
@@ -187,7 +189,7 @@ def _mc(data) -> McConfig:
     if "confidence" in data:
         kwargs["confidence"] = _number(data["confidence"], "monte_carlo.confidence")
     try:
-        return McConfig(**kwargs)
+        return replace(DEFAULT_MC, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"monte_carlo: {exc}") from None
 
@@ -209,11 +211,16 @@ def dict_to_spec(data: dict) -> SweepSpec:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ConfigError("label: expected a string")
-    quad_order = data.get("quadrature_order", 64)
+    quad_order = data.get("quadrature_order", DEFAULT_QUAD_ORDER)
     if isinstance(quad_order, bool) or not isinstance(quad_order, int):
         raise ConfigError("quadrature_order: expected an integer")
     axis = data["axis"]
     if axis == "n_destinations":
+        for i, v in enumerate(values):
+            if not v.is_integer():
+                raise ConfigError(
+                    f"values[{i}]: expected a whole destination count, got {v!r}"
+                )
         values = tuple(int(v) for v in values)
     return SweepSpec(
         metric=data["metric"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .errors import ConfigError
-from .montecarlo import McConfig
 from .sweep import ScenarioParams, SweepSpec
 
 __all__ = ["available_presets", "get_preset"]
@@ -21,7 +20,6 @@ __all__ = ["available_presets", "get_preset"]
 _POWER_GRID_DB = tuple(float(p) for p in range(-10, 62, 2))
 _ASC_METHODS = ("quadrature", "asymptotic", "monte-carlo")
 _POI_METHODS = ("quadrature", "closed-form-poi", "monte-carlo")
-_PRESET_MC = McConfig(samples=1_000_000, seed=20230117, workers=1)
 
 _BASE = ScenarioParams()  # -20/-20/-40 dB means, 6 dB spreads, p=0.1, eta=10
 
@@ -33,7 +31,6 @@ def _asc_spec(label: str, base: ScenarioParams) -> SweepSpec:
         values=_POWER_GRID_DB,
         methods=_ASC_METHODS,
         base=base,
-        mc=_PRESET_MC,
         label=label,
     )
 
@@ -45,7 +42,6 @@ def _poi_spec(label: str, base: ScenarioParams) -> SweepSpec:
         values=tuple(range(1, 17)),
         methods=_POI_METHODS,
         base=base,
-        mc=_PRESET_MC,
         label=label,
     )
 

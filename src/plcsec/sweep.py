@@ -166,10 +166,10 @@ class SweepSpec:
             raise ConfigError("values must be a nonempty list")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("values must be strictly increasing")
-        if self.axis == "n_destinations" and any(
-            int(v) != v or v < 1 for v in values
-        ):
-            raise ConfigError("n_destinations values must be positive integers")
+        if self.axis == "n_destinations":
+            if not all(is_destination_count(v) for v in values):
+                raise ConfigError("n_destinations values must be positive integers")
+            values = tuple(int(v) for v in values)
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("methods must be a nonempty list")

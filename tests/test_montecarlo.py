@@ -2,10 +2,15 @@
 cross-agreement with the analytical routes."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sps
+from scipy import stats
 
+import plcsec.montecarlo as mc_mod
 from plcsec import (
     ConfigError,
     LinkParams,
@@ -20,6 +25,30 @@ from plcsec import (
     poi_closed_form,
     poi_quadrature,
 )
+
+
+def brute_force_best_of_n(rng, m, n, rows=8192):
+    """Oracle for the best-destination draw: the row maximum of m x n normals.
+
+    Drawn in row chunks so large ``n`` stays small in memory; the stream is
+    the same as one ``(m, n)`` draw.
+    """
+    return np.concatenate([
+        rng.standard_normal((min(rows, m - i), n)).max(axis=1) for i in range(0, m, rows)
+    ])
+
+
+class ConstantUniforms:
+    """Stub generator: every uniform is ``u``, every normal is 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        return np.full(m, self.u)
+
+    def standard_normal(self, m):
+        return np.zeros(m)
 
 
 def make_config(
@@ -108,6 +137,68 @@ class TestMcAsc:
         res = mc_asc(cfg, McConfig(samples=100_000, seed=5))
         assert res.method == "monte-carlo"
         assert res.ci_halfwidth > 0.0
+
+
+class TestBestOfNSampler:
+    @pytest.mark.parametrize("n", [1, 2, 10, 40, 256])
+    def test_matches_brute_force_oracle(self, n):
+        draws = 200_000
+        direct = mc_mod._best_of_n_normal(np.random.default_rng([n, 1]), draws, n)
+        oracle = brute_force_best_of_n(np.random.default_rng([n, 2]), draws, n)
+        assert stats.ks_2samp(direct, oracle).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 10, 256])
+    def test_upper_tail_frequency(self, n):
+        # P(max > Phi^-1(1 - q)) = 1 - (1 - q)^n, within a 99.9% binomial CI.
+        draws, q = 2_000_000, 1e-3
+        z = mc_mod._best_of_n_normal(np.random.default_rng([n, 3]), draws, n)
+        p = -math.expm1(n * math.log1p(-q))
+        hits = np.count_nonzero(z > -sps.ndtri(q))
+        assert abs(hits / draws - p) <= 3.2905 * math.sqrt(p * (1 - p) / draws)
+
+    @pytest.mark.parametrize("n", [1, 256, 100_000])
+    def test_largest_uniform_keeps_the_tail_exact(self, n):
+        # 1 - 2^-53 is the largest uniform Generator.random returns; there
+        # U^(1/n) rounds to 1, so only the expm1 form keeps the draw finite.
+        z = mc_mod._best_of_n_normal(ConstantUniforms(1.0 - 2.0**-53), 1, n)
+        assert z[0] == pytest.approx(-sps.ndtri(2.0**-53 / n), rel=1e-12)
+
+    def test_zero_uniform_gives_zero_gain_silently(self, monkeypatch):
+        # Every best-destination gain is 0: no secrecy, every trial intercepted.
+        monkeypatch.setattr(np.random, "Generator", lambda _: ConstantUniforms(0.0))
+        mc = McConfig(samples=10_000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = mc_mod._best_of_n_normal(ConstantUniforms(0.0), 4, 10)
+            asc = mc_asc(make_config(), mc)
+            poi = mc_poi(make_config(), mc)
+        assert np.all(z == -np.inf)
+        assert (asc.value, asc.ci_halfwidth) == (0.0, 0.0)
+        assert (poi.value, poi.ci_halfwidth) == (1.0, 0.0)
+
+    def test_mc_asc_agrees_with_brute_force_sampler(self, monkeypatch):
+        cfg = make_config(n=10)
+        mc = McConfig(samples=400_000, seed=17)
+        direct = mc_asc(cfg, mc)
+        monkeypatch.setattr(mc_mod, "_best_of_n_normal", brute_force_best_of_n)
+        brute = mc_asc(cfg, mc)
+        assert direct.value != brute.value
+        assert abs(direct.value - brute.value) <= math.hypot(
+            direct.ci_halfwidth, brute.ci_halfwidth
+        )
+
+    def test_memory_is_flat_in_destination_count(self):
+        # The brute-force sampler would hold 65536 x 1000 doubles per block.
+        cfg = make_config(n=1000)
+        mc = McConfig(samples=200_000, seed=2)
+        tracemalloc.start()
+        try:
+            mc_asc(cfg, mc)
+            mc_poi(cfg, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestMcPoi:

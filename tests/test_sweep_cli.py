@@ -70,18 +70,28 @@ class TestSweepSpecValidation:
             small_spec(quadrature_order=0)
 
     @pytest.mark.parametrize(
-        "n, valid", [(10, True), (np.int64(10), True), (True, False), (0, False), (2.0, False)]
+        "n, valid",
+        [(10, True), (np.int64(10), True), (True, False), (0, False), (2.0, False),
+         (2.5, False)],
     )
     def test_destination_count_checks_agree(self, n, valid):
         link = LinkParams(-4.6, 1.4)
+
+        def axis_spec():
+            return small_spec(metric="poi", axis="n_destinations", values=(n,),
+                              methods=("quadrature",))
+
         if not valid:
             with pytest.raises(ConfigError):
                 ScenarioParams(n_destinations=n)
             with pytest.raises(ConfigError):
                 PinholeTopology(link, link, link, n_destinations=n)
+            with pytest.raises(ConfigError):
+                axis_spec()
             return
         assert PinholeTopology(link, link, link, n_destinations=n).n_destinations == 10
         assert type(ScenarioParams(n_destinations=n).n_destinations) is int
+        assert [type(v) for v in axis_spec().values] == [int]
 
 
 class TestRunSweep:
@@ -221,6 +231,15 @@ class TestConfigFiles:
 
         with pytest.raises(ConfigError, match="system"):
             loads_config(yaml.safe_dump(data))
+
+    def test_destination_axis_values_must_be_whole(self):
+        text = "preset: fig8\nvariant: base\nvalues: [1, {}]\n"
+        with pytest.raises(ConfigError, match=r"values\[1\]"):
+            loads_config(text.format("2.5"))
+        with pytest.raises(ConfigError, match=r"values\[1\]"):
+            loads_config(text.format("true"))
+        values = loads_config(text.format("2.0")).values
+        assert values == (1, 2) and all(type(v) is int for v in values)
 
     def test_preset_reference_with_override(self):
         text = "preset: fig3\nvariant: n10-ph\nvalues: [0.0, 10.0]\n"
