@@ -11,26 +11,17 @@ cross-validate each other.
 from .channel import (
     LinkParams,
     PinholeTopology,
-    best_destination_cdf,
-    best_destination_pdf,
     effective_links,
     link_params_from_db,
-    lognormal_cdf,
-    lognormal_mean,
-    lognormal_pdf,
-    sample_gain,
 )
 from .config import dump_config, load_config, loads_config
 from .errors import ConfigError, DomainError, EvaluationError, PlcsecError
 from .metrics import (
-    AsymptoticConstants,
     SecrecyResult,
     SystemConfig,
     asc_asymptotic,
     asc_asymptotic_large_n,
     asc_quadrature,
-    asymptotic_constants,
-    instantaneous_secrecy_capacity,
     poi_closed_form,
     poi_quadrature,
 )
@@ -41,14 +32,12 @@ from .noise import (
     alpha_factors,
     alpha_factors_tilde,
     noise_events,
-    sample_noise_state,
 )
 from .presets import available_presets, get_preset
 from .special_math import (
     DEFAULT_Q_APPROX,
     QApproxParams,
     QuadratureRule,
-    expect_standard_normal,
     gauss_hermite_rule,
     gaussian_segment_integrals,
     q_approx,
@@ -66,7 +55,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants",
     "ConfigError",
     "DEFAULT_Q_APPROX",
     "DomainError",
@@ -90,23 +78,15 @@ __all__ = [
     "asc_asymptotic",
     "asc_asymptotic_large_n",
     "asc_quadrature",
-    "asymptotic_constants",
     "available_presets",
-    "best_destination_cdf",
-    "best_destination_pdf",
     "dump_config",
     "effective_links",
-    "expect_standard_normal",
     "gauss_hermite_rule",
     "gaussian_segment_integrals",
     "get_preset",
-    "instantaneous_secrecy_capacity",
     "link_params_from_db",
     "load_config",
     "loads_config",
-    "lognormal_cdf",
-    "lognormal_mean",
-    "lognormal_pdf",
     "mc_asc",
     "mc_poi",
     "noise_events",
@@ -116,7 +96,5 @@ __all__ = [
     "q_function",
     "rows_to_csv",
     "run_sweep",
-    "sample_gain",
-    "sample_noise_state",
     "__version__",
 ]

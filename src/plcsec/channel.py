@@ -24,21 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .special_math import SQRT_2PI, q_function
+from .errors import ConfigError
 
 __all__ = [
     "DB_TO_NATURAL",
     "LinkParams",
     "PinholeTopology",
-    "best_destination_cdf",
-    "best_destination_pdf",
     "effective_links",
     "link_params_from_db",
-    "lognormal_cdf",
-    "lognormal_mean",
-    "lognormal_pdf",
-    "sample_gain",
 ]
 
 DB_TO_NATURAL = math.log(10.0) / 10.0
@@ -56,14 +49,6 @@ class LinkParams:
             raise ConfigError("LinkParams.m must be finite")
         if not (math.isfinite(self.s) and self.s > 0.0):
             raise ConfigError("LinkParams.s must be finite and > 0")
-
-    @classmethod
-    def from_db(cls, m_db: float, s_db: float) -> "LinkParams":
-        return link_params_from_db(m_db, s_db)
-
-    def to_db(self) -> tuple[float, float]:
-        """Inverse of :func:`link_params_from_db`."""
-        return self.m / DB_TO_NATURAL, self.s / DB_TO_NATURAL
 
 
 def link_params_from_db(m_db: float, s_db: float) -> LinkParams:
@@ -99,62 +84,6 @@ class PinholeTopology:
 def is_destination_count(n) -> bool:
     """True for a positive integer, numpy integers included and bools not."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-
-
-def _check_positive(x, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{what} requires x > 0")
-    return arr
-
-
-def lognormal_pdf(x, link: LinkParams):
-    """Density ``(x s sqrt(2 pi))^-1 exp(-(ln x - m)^2 / (2 s^2))``, x > 0."""
-    arr = _check_positive(x, "lognormal_pdf")
-    z = (np.log(arr) - link.m) / link.s
-    out = np.exp(-0.5 * z * z) / (arr * link.s * SQRT_2PI)
-    return float(out) if arr.ndim == 0 else out
-
-
-def lognormal_cdf(x, link: LinkParams):
-    """Distribution function ``1 - Q((ln x - m) / s)``, x > 0."""
-    arr = _check_positive(x, "lognormal_cdf")
-    out = 1.0 - q_function((np.log(arr) - link.m) / link.s)
-    return float(out) if arr.ndim == 0 else out
-
-
-def lognormal_mean(link: LinkParams) -> float:
-    """Average gain ``exp(m + s^2 / 2)``."""
-    return math.exp(link.m + 0.5 * link.s * link.s)
-
-
-def best_destination_cdf(x, topo: PinholeTopology):
-    """CDF of the largest of the N i.i.d. destination gains: ``F(x)^N``."""
-    arr = _check_positive(x, "best_destination_cdf")
-    out = lognormal_cdf(arr, topo.destination_link) ** topo.n_destinations
-    return float(out) if arr.ndim == 0 else out
-
-
-def best_destination_pdf(x, topo: PinholeTopology):
-    """Density of the largest destination gain: ``N F^(N-1) f``."""
-    arr = _check_positive(x, "best_destination_pdf")
-    n = topo.n_destinations
-    out = (
-        n
-        * lognormal_cdf(arr, topo.destination_link) ** (n - 1)
-        * lognormal_pdf(arr, topo.destination_link)
-    )
-    return float(out) if arr.ndim == 0 else out
-
-
-def sample_gain(link: LinkParams, rng: np.random.Generator, size=None):
-    """Draw ``exp(m + s Z)`` from an exclusively held generator.
-
-    Deterministic given the generator state; pass ``size`` for a vectorized
-    draw (consumes the same stream in the same order).
-    """
-    z = rng.standard_normal(size)
-    return np.exp(link.m + link.s * z)
 
 
 def effective_links(topo: PinholeTopology) -> tuple[LinkParams, LinkParams]:

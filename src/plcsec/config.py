@@ -141,11 +141,6 @@ def _scenario(data: dict) -> ScenarioParams:
     m_b, s_b = _link(_require(data, "destination", "system"), "system.destination")
     m_e, s_e = _link(_require(data, "eavesdropper", "system"), "system.eavesdropper")
     n = _require(data, "n_destinations", "system")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("system.n_destinations: expected a positive integer")
-    pinhole = data.get("pinhole", True)
-    if not isinstance(pinhole, bool):
-        raise ConfigError("system.pinhole: expected true/false")
     defaults = {"background_var": 1.0, "impulse_ratio": 0.0, "impulse_prob": 0.0}
     dn = _noise(data.get("dest_noise"), "system.dest_noise", defaults)
     en = _noise(data.get("eav_noise"), "system.eav_noise", defaults)
@@ -158,7 +153,7 @@ def _scenario(data: dict) -> ScenarioParams:
             m_e_db=m_e,
             s_e_db=s_e,
             n_destinations=n,
-            pinhole=pinhole,
+            pinhole=data.get("pinhole", True),
             transmit_power_db=_number(
                 data.get("transmit_power_db", 20.0), "system.transmit_power_db"
             ),

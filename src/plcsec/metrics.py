@@ -42,7 +42,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special as sps
 
 from .channel import LinkParams, PinholeTopology, effective_links
-from .errors import ConfigError, DomainError, EvaluationError
+from .errors import ConfigError, EvaluationError
 from .noise import NoiseEvent, NoiseParams, noise_events
 from .special_math import (
     DEFAULT_Q_APPROX,
@@ -55,14 +55,11 @@ from .special_math import (
 )
 
 __all__ = [
-    "AsymptoticConstants",
     "SecrecyResult",
     "SystemConfig",
     "asc_asymptotic",
     "asc_asymptotic_large_n",
     "asc_quadrature",
-    "asymptotic_constants",
-    "instantaneous_secrecy_capacity",
     "poi_closed_form",
     "poi_quadrature",
 ]
@@ -104,34 +101,6 @@ class SecrecyResult:
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Completed-square constants behind the closed forms, for one (j, k, n).
-
-    Both families describe factors ``amp * exp(-(a t - b)^2 / 2)`` obtained
-    by folding powers of the exponential Q-fit into the standard normal
-    density: ``a`` is the quadratic scale, ``b``/``b_bar`` the completed
-    shifts on the negative/positive half-axes, ``c`` the raw constant of the
-    exponent and ``d``/``d_bar`` the resulting amplitudes.  ``phi_e`` is the
-    eavesdropper-to-destination log-std ratio and ``lam`` the standardized
-    mean offset of the eavesdropper-versus-destination contest for the event.
-    """
-
-    phi_e: float
-    lam: float
-    dest_a: float
-    dest_b: float
-    dest_b_bar: float
-    dest_c: float
-    dest_d: float
-    eav_a: float
-    eav_b: float
-    eav_b_bar: float
-    eav_c: float
-    eav_d: float
-    eav_d_bar: float
-
-
 def _tilde_events(cfg: SystemConfig) -> list[NoiseEvent]:
     # Unit transmit power turns the alpha factors into their power-stripped
     # variants, keeping power-independent code paths structurally so.
@@ -141,30 +110,6 @@ def _tilde_events(cfg: SystemConfig) -> list[NoiseEvent]:
 def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
     """Standardized mean offset of the eavesdropper contest for one event."""
     return (eav.m - dest.m + math.log(ev.alpha_e / ev.alpha_b)) / dest.s
-
-
-# ---------------------------------------------------------------------------
-# Instantaneous secrecy rate
-# ---------------------------------------------------------------------------
-
-
-def instantaneous_secrecy_capacity(
-    gain_a: float, gain_n_star: float, gain_e: float, cfg: SystemConfig
-) -> float:
-    """Noise-event mixture of clamped rate differences, in bits per use.
-
-    ``gain_a`` is the shared-segment gain, ``gain_n_star`` the scheduled
-    destination's branch gain and ``gain_e`` the eavesdropper's branch gain.
-    """
-    for name, g in (("gain_a", gain_a), ("gain_n_star", gain_n_star), ("gain_e", gain_e)):
-        if not (math.isfinite(g) and g > 0.0):
-            raise DomainError(f"{name} must be finite and > 0")
-    total = 0.0
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise, cfg.transmit_power):
-        rate_b = math.log1p(ev.alpha_b * gain_a * gain_n_star) / LN2
-        rate_e = math.log1p(ev.alpha_e * gain_a * gain_e) / LN2
-        total += ev.probability * max(rate_b - rate_e, 0.0)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -264,58 +209,25 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
 # ---------------------------------------------------------------------------
 
 
-def _dest_family(qp: QApproxParams, n: int) -> tuple[float, float, float, float]:
-    """(a, b_bar, c, d) for the n-th power of the Q-fit times the normal pdf."""
+def _dest_family(qp: QApproxParams, n: int) -> tuple[float, float, float]:
+    """(a, b_bar, d) for the n-th power of the Q-fit times the normal pdf."""
     a = math.sqrt(2.0 * n * qp.k1 + 1.0)
     b_bar = -n * qp.k2 / a
     c = 2.0 * n * qp.k3
     d = math.exp(-0.5 * (c - b_bar * b_bar))
-    return a, b_bar, c, d
+    return a, b_bar, d
 
 
 def _eav_family(
     qp: QApproxParams, n: int, lam: float, phi_e: float
-) -> tuple[float, float, float, float, float, float]:
-    """(a, b, b_bar, c, d, d_bar) for the eavesdropper-side contest factor."""
+) -> tuple[float, float, float]:
+    """(a, b, d) for the eavesdropper-side contest factor."""
     inv2 = 1.0 / (phi_e * phi_e)
     a = math.sqrt(2.0 * n * qp.k1 + inv2)
     b = (n * qp.k2 + lam * inv2) / a
-    b_bar = (-n * qp.k2 + lam * inv2) / a
     c = 2.0 * n * qp.k3 + lam * lam * inv2
     d = math.exp(-0.5 * (c - b * b))
-    d_bar = math.exp(-0.5 * (c - b_bar * b_bar))
-    return a, b, b_bar, c, d, d_bar
-
-
-def asymptotic_constants(cfg: SystemConfig, j: int, k: int, n: int) -> AsymptoticConstants:
-    """Constant slice used by the closed forms for noise event (j, k), index n."""
-    if j not in (1, 2) or k not in (1, 2):
-        raise DomainError("event indices j, k must be 1 or 2")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise DomainError("family index n must be a nonnegative integer")
-    dest, eav = effective_links(cfg.topology)
-    ev = next(
-        e for e in _tilde_events(cfg) if e.dest_state == j and e.eav_state == k
-    )
-    phi_e = eav.s / dest.s
-    lam = _event_offset(ev, dest, eav)
-    da, db_bar, dc, dd = _dest_family(cfg.q_approx, n)
-    ea, eb, eb_bar, ec, ed, ed_bar = _eav_family(cfg.q_approx, n, lam, phi_e)
-    return AsymptoticConstants(
-        phi_e=phi_e,
-        lam=lam,
-        dest_a=da,
-        dest_b=-db_bar,
-        dest_b_bar=db_bar,
-        dest_c=dc,
-        dest_d=dd,
-        eav_a=ea,
-        eav_b=eb,
-        eav_b_bar=eb_bar,
-        eav_c=ec,
-        eav_d=ed,
-        eav_d_bar=ed_bar,
-    )
+    return a, b, d
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +303,12 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
         event_error = n_dest / LN2 * err
 
         if keep_vanishing_terms:
-            a, b_bar, _, d = _dest_family(qp, n_dest - 1)
+            a, b_bar, d = _dest_family(qp, n_dest - 1)
             dest_plus = (
                 n_dest * d / LN2 * _neg_bracket(a, -b_bar, c0_b, dest.s)
             )
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            ea, eb, _, _, ed, _ = _eav_family(qp, n_dest, lam, phi_e)
+            ea, eb, ed = _eav_family(qp, n_dest, lam, phi_e)
             eav_plus = ed / (phi_e * LN2) * _neg_bracket(ea, eb, c0_e, eav.s / phi_e)
             eav_minus, err = _tail_power_integral(
                 qp, lam, phi_e, n_dest, c0_e, eav.s / phi_e
@@ -459,7 +371,7 @@ def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
     error = 0.0
     for ev in _tilde_events(cfg):
         lam = _event_offset(ev, dest, eav)
-        a, b, _, _, d, _ = _eav_family(qp, n_dest, lam, phi_e)
+        a, b, d = _eav_family(qp, n_dest, lam, phi_e)
         head = d * gaussian_segment_integrals(a, b).i_neg / phi_e
         tail, err = _tail_power_integral(qp, lam, phi_e, n_dest)
         total += ev.probability * (head + tail)

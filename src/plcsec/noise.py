@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "alpha_factors",
     "alpha_factors_tilde",
     "noise_events",
-    "sample_noise_state",
 ]
 
 
@@ -108,12 +105,3 @@ def noise_events(
         for k in (1, 2)
     ]
 
-
-def sample_noise_state(noise: NoiseParams, rng: np.random.Generator, size=None):
-    """Draw the noise state: 2 with probability ``impulse_prob``, else 1.
-
-    Destination and eavesdropper draws must come from independent streams.
-    """
-    u = rng.random(size)
-    out = np.where(u < noise.impulse_prob, 2, 1)
-    return int(out) if size is None else out

@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy import special as sps
 
-from .errors import ConfigError, DomainError, EvaluationError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "DEFAULT_Q_APPROX",
@@ -38,7 +38,6 @@ __all__ = [
     "QApproxParams",
     "QuadratureRule",
     "SegmentIntegrals",
-    "expect_standard_normal",
     "gauss_hermite_rule",
     "gaussian_segment_integrals",
     "q_approx",
@@ -162,24 +161,6 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
         nodes=math.sqrt(2.0) * x,
         weights=w / math.sqrt(math.pi),
     )
-
-
-def expect_standard_normal(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
-    """Approximate ``E[f(Z)]`` for standard normal Z as ``sum(w_i f(z_i))``.
-
-    ``f`` must be vectorizable over the node array and finite at every node;
-    a non-finite value aborts with the offending node in the message.
-    """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    if values.shape != rule.nodes.shape:
-        values = np.broadcast_to(values, rule.nodes.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise EvaluationError(
-            f"integrand is not finite at node {rule.nodes[idx]!r} (index {idx})"
-        )
-    return float(np.dot(rule.weights, values))
 
 
 class SegmentIntegrals(NamedTuple):

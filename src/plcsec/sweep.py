@@ -99,6 +99,8 @@ class ScenarioParams:
                 raise ConfigError(f"{name} must be > 0")
         if not is_destination_count(self.n_destinations):
             raise ConfigError("n_destinations must be a positive integer")
+        if not isinstance(self.pinhole, bool):
+            raise ConfigError("pinhole must be true or false")
         # A plain int keeps the resolved config YAML-dumpable.
         object.__setattr__(self, "n_destinations", int(self.n_destinations))
 
@@ -123,7 +125,7 @@ class ScenarioParams:
             source_link=link_params_from_db(self.m_a_db, self.s_a_db),
             destination_link=link_params_from_db(self.m_b_db, self.s_b_db),
             eavesdropper_link=link_params_from_db(self.m_e_db, self.s_e_db),
-            n_destinations=int(n),
+            n_destinations=n,
             pinhole_present=self.pinhole,
         )
         return SystemConfig(
@@ -226,7 +228,7 @@ def _evaluate_point(spec: SweepSpec, index: int, axis_value, method: str) -> Sec
         )
     else:
         cfg = spec.base.system_config(
-            n_destinations=int(axis_value), quad_order=spec.quadrature_order
+            n_destinations=axis_value, quad_order=spec.quadrature_order
         )
     if method == "monte-carlo":
         # One substream per point; blocks inside are already deterministic,

@@ -1,30 +1,18 @@
-"""Log-normal link statistics, dB conversion and best-destination order
-statistics, checked against analytic identities, adaptive quadrature and
-Monte Carlo oracles."""
+"""Link parameters, dB conversion, the pinhole topology and its effective
+links, checked against analytic identities and Monte Carlo oracles."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
 from plcsec import (
     ConfigError,
-    DomainError,
     LinkParams,
     PinholeTopology,
-    best_destination_cdf,
-    best_destination_pdf,
     effective_links,
     link_params_from_db,
-    lognormal_cdf,
-    lognormal_mean,
-    lognormal_pdf,
-    q_function,
-    sample_gain,
 )
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def topo(m_b=-4.605, s_b=1.382, n=10, pinhole=True, m_a=-4.605, s_a=1.382, m_e=-9.21, s_e=1.382):
@@ -37,81 +25,6 @@ def topo(m_b=-4.605, s_b=1.382, n=10, pinhole=True, m_a=-4.605, s_a=1.382, m_e=-
     )
 
 
-class TestLognormalPdf:
-    def test_value_at_log_mean(self):
-        link = LinkParams(m=0.7, s=0.9)
-        x = math.exp(link.m)
-        assert lognormal_pdf(x, link) == pytest.approx(1.0 / (x * link.s * SQRT_2PI))
-
-    def test_standard_peak(self):
-        assert lognormal_pdf(1.0, LinkParams(0.0, 1.0)) == pytest.approx(
-            0.3989422804014327, rel=1e-12
-        )
-
-    def test_total_mass(self):
-        # Substituting x = e^u tames the scale disparity of the direct
-        # integral; the density in u is then a well-behaved bump.
-        link = LinkParams(m=-1.2, s=1.5)
-        mass, err = integrate.quad(
-            lambda u: lognormal_pdf(math.exp(u), link) * math.exp(u),
-            link.m - 12 * link.s,
-            link.m + 12 * link.s,
-            limit=300,
-        )
-        assert err < 1e-9
-        assert mass == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            lognormal_pdf(0.0, LinkParams(0.0, 1.0))
-        with pytest.raises(DomainError):
-            lognormal_pdf(-2.0, LinkParams(0.0, 1.0))
-
-
-class TestLognormalCdf:
-    def test_median(self):
-        assert lognormal_cdf(math.exp(-3.3), LinkParams(-3.3, 0.7)) == pytest.approx(0.5)
-
-    def test_limits(self):
-        link = LinkParams(0.0, 1.0)
-        assert lognormal_cdf(1e-280, link) == pytest.approx(0.0, abs=1e-300)
-        assert lognormal_cdf(1e280, link) == pytest.approx(1.0)
-
-    def test_phi_one(self):
-        # F(e) for unit log-parameters is Phi(1), frozen from erfc.
-        assert lognormal_cdf(math.e, LinkParams(0.0, 1.0)) == pytest.approx(
-            0.8413447460685429, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
-    def test_quantile_identity(self, k):
-        link = LinkParams(m=0.4, s=1.7)
-        got = lognormal_cdf(math.exp(link.m + k * link.s), link)
-        assert got == pytest.approx(1.0 - q_function(float(k)), abs=1e-12)
-
-    def test_nondecreasing(self):
-        link = LinkParams(-2.0, 2.0)
-        x = np.exp(np.linspace(-10, 8, 400))
-        assert np.all(np.diff(lognormal_cdf(x, link)) >= 0.0)
-
-
-class TestLognormalMean:
-    def test_degenerate_spread(self):
-        assert lognormal_mean(LinkParams(0.0, 1e-9)) == pytest.approx(1.0)
-
-    def test_unit_parameters(self):
-        assert lognormal_mean(LinkParams(0.0, 1.0)) == pytest.approx(math.exp(0.5))
-
-    def test_sample_mean_within_three_standard_errors(self):
-        link = LinkParams(m=-0.8, s=1.1)
-        rng = np.random.default_rng(2024)
-        draws = sample_gain(link, rng, size=10_000_000)
-        mean = lognormal_mean(link)
-        # Standard error of the sample mean of a log-normal.
-        se = mean * math.sqrt((math.exp(link.s**2) - 1.0) / draws.size)
-        assert abs(draws.mean() - mean) < 3.0 * se
-
-
 class TestDbConversion:
     def test_zero_maps_to_zero(self):
         assert link_params_from_db(0.0, 6.0).m == 0.0
@@ -121,12 +34,6 @@ class TestDbConversion:
         assert link.m == pytest.approx(-4.60517, abs=1e-5)
         assert link.s == pytest.approx(1.38155, abs=1e-5)
 
-    def test_round_trip(self):
-        link = link_params_from_db(-13.7, 4.2)
-        m_db, s_db = link.to_db()
-        assert m_db == pytest.approx(-13.7, abs=1e-12)
-        assert s_db == pytest.approx(4.2, abs=1e-12)
-
     def test_rejects_nonpositive_spread(self):
         with pytest.raises(ConfigError):
             link_params_from_db(-20.0, 0.0)
@@ -134,58 +41,13 @@ class TestDbConversion:
             LinkParams(0.0, -1.0)
 
 
+class TestPinholeTopology:
+    def test_rejects_nonpositive_destination_count(self):
+        with pytest.raises(ConfigError):
+            topo(n=0)
+
+
 class TestBestDestination:
-    def test_single_destination_matches_link_cdf(self):
-        t = topo(n=1)
-        for x in (0.01, 0.5, 3.0):
-            assert best_destination_cdf(x, t) == lognormal_cdf(x, t.destination_link)
-            assert best_destination_pdf(x, t) == pytest.approx(
-                lognormal_pdf(x, t.destination_link)
-            )
-
-    def test_median_cubed(self):
-        t = topo(n=3)
-        assert best_destination_cdf(math.exp(t.destination_link.m), t) == pytest.approx(0.125)
-
-    def test_empirical_cdf_of_sampled_maximum(self):
-        t = topo(n=10)
-        rng = np.random.default_rng(7)
-        trials = 1_000_000
-        z = rng.standard_normal((trials, t.n_destinations))
-        best = np.exp(t.destination_link.m + t.destination_link.s * z.max(axis=1))
-        for x in (0.02, 0.1, 1.0):
-            expected = best_destination_cdf(x, t)
-            freq = np.mean(best <= x)
-            sigma = math.sqrt(expected * (1.0 - expected) / trials)
-            assert abs(freq - expected) < 3.0 * sigma
-
-    @pytest.mark.parametrize("n", [1, 5, 40])
-    def test_pdf_total_mass(self, n):
-        t = topo(n=n)
-        link = t.destination_link
-        mass, err = integrate.quad(
-            lambda u: best_destination_pdf(math.exp(u), t) * math.exp(u),
-            link.m - 12 * link.s,
-            link.m + 14 * link.s,
-            limit=400,
-        )
-        assert err < 1e-8
-        assert mass == pytest.approx(1.0, abs=1e-7)
-
-    def test_pdf_is_cdf_derivative(self):
-        t = topo(n=8)
-        xs = np.exp(np.linspace(-7.0, -1.0, 25))
-        for x in xs:
-            h = 1e-6 * x
-            numeric = (best_destination_cdf(x + h, t) - best_destination_cdf(x - h, t)) / (2 * h)
-            analytic = best_destination_pdf(x, t)
-            assert numeric == pytest.approx(analytic, rel=1e-6)
-
-    def test_cdf_nonincreasing_in_n(self):
-        for x in (0.05, 0.5, 2.0):
-            values = [best_destination_cdf(x, topo(n=n)) for n in (1, 2, 4, 8, 16)]
-            assert all(b <= a for a, b in zip(values, values[1:]))
-
     def test_sampled_best_mean_nondecreasing_in_n(self):
         # Common random numbers: each N uses the first N columns of one pool.
         rng = np.random.default_rng(11)
@@ -196,34 +58,6 @@ class TestBestDestination:
             np.exp(link.m + link.s * z[:, :n].max(axis=1)).mean() for n in (1, 2, 4, 8)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
-
-    def test_rejects_nonpositive_argument(self):
-        with pytest.raises(DomainError):
-            best_destination_cdf(0.0, topo())
-        with pytest.raises(ConfigError):
-            topo(n=0)
-
-
-class TestSampleGain:
-    def test_degenerate_spread_pins_the_gain(self):
-        link = LinkParams(m=-2.0, s=1e-12)
-        rng = np.random.default_rng(0)
-        draws = sample_gain(link, rng, size=1000)
-        np.testing.assert_allclose(draws, math.exp(link.m), rtol=1e-10)
-
-    def test_fixed_seed_reproduces_sequences(self):
-        link = LinkParams(0.3, 0.8)
-        a = sample_gain(link, np.random.default_rng(42), size=64)
-        b = sample_gain(link, np.random.default_rng(42), size=64)
-        np.testing.assert_array_equal(a, b)
-
-    def test_kolmogorov_smirnov_against_cdf(self):
-        link = LinkParams(m=-1.0, s=1.3)
-        rng = np.random.default_rng(5)
-        draws = sample_gain(link, rng, size=100_000)
-        result = stats.kstest(draws, lambda x: lognormal_cdf(x, link))
-        critical_1pct = 1.6276 / math.sqrt(draws.size)
-        assert result.statistic < critical_1pct
 
 
 class TestEffectiveLinks:
@@ -242,8 +76,9 @@ class TestEffectiveLinks:
     def test_average_end_to_end_gain_is_preserved(self):
         t = topo(pinhole=False)
         dest, _ = effective_links(t)
-        product_mean = lognormal_mean(t.source_link) * lognormal_mean(t.destination_link)
-        assert lognormal_mean(dest) == pytest.approx(product_mean, rel=1e-12)
+        src, link = t.source_link, t.destination_link
+        product_mean = math.exp(src.m + 0.5 * src.s**2) * math.exp(link.m + 0.5 * link.s**2)
+        assert math.exp(dest.m + 0.5 * dest.s**2) == pytest.approx(product_mean, rel=1e-12)
 
     def test_shared_factor_correlates_branches(self):
         # With the pinhole, both end-to-end gains contain the shared factor

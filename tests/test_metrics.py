@@ -19,7 +19,6 @@ import pytest
 from scipy import integrate
 
 from plcsec import (
-    DomainError,
     EvaluationError,
     LinkParams,
     NoiseParams,
@@ -29,15 +28,14 @@ from plcsec import (
     asc_asymptotic,
     asc_asymptotic_large_n,
     asc_quadrature,
-    asymptotic_constants,
     effective_links,
     gauss_hermite_rule,
-    instantaneous_secrecy_capacity,
     noise_events,
     poi_closed_form,
     poi_quadrature,
     q_function,
 )
+from plcsec.metrics import _dest_family, _eav_family, _event_offset
 
 LN2 = math.log(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -79,48 +77,6 @@ def make_config(
 
 def normal_pdf(t):
     return np.exp(-0.5 * t * t) / SQRT_2PI
-
-
-class TestInstantaneousSecrecyCapacity:
-    def test_equal_arguments_cancel_same_state_events(self):
-        # With identical noise at both nodes and equal branch gains, the
-        # same-state events see identical rates; only cross-state events
-        # contribute.
-        cfg = make_config(p_b=0.3, p_e=0.3, eta_b=5.0, eta_e=5.0)
-        g = 0.37
-        total = instantaneous_secrecy_capacity(1.7, g, g, cfg)
-        a1 = cfg.transmit_power / 1.0
-        a2 = a1 / 6.0
-        cross = math.log1p(a1 * 1.7 * g) / LN2 - math.log1p(a2 * 1.7 * g) / LN2
-        # Only (state1, state2) contributes: (1-p) * p * cross.
-        assert total == pytest.approx(0.7 * 0.3 * cross, rel=1e-12)
-
-    def test_clamp_floors_at_zero(self):
-        cfg = make_config(p_b=0.0, p_e=0.0, eta_b=0.0, eta_e=0.0)
-        # Destination weaker than the eavesdropper: clamped to exactly 0.
-        assert instantaneous_secrecy_capacity(1.0, 0.001, 10.0, cfg) == 0.0
-
-    def test_matches_direct_four_term_evaluation(self):
-        rng = np.random.default_rng(99)
-        cfg = make_config(p_b=0.25, p_e=0.6, eta_b=3.0, eta_e=30.0, power=17.0)
-        for _ in range(25):
-            ga, gn, ge = np.exp(rng.normal(size=3) * 2.0)
-            expected = 0.0
-            for j, pj in ((1, 0.75), (2, 0.25)):
-                ab = 17.0 / (1.0 if j == 1 else 4.0)
-                for k, pk in ((1, 0.4), (2, 0.6)):
-                    ae = 17.0 / (1.0 if k == 1 else 31.0)
-                    diff = math.log2(1 + ab * ga * gn) - math.log2(1 + ae * ga * ge)
-                    expected += pj * pk * max(diff, 0.0)
-            got = instantaneous_secrecy_capacity(ga, gn, ge, cfg)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonpositive_gains(self):
-        cfg = make_config()
-        with pytest.raises(DomainError):
-            instantaneous_secrecy_capacity(0.0, 1.0, 1.0, cfg)
-        with pytest.raises(DomainError):
-            instantaneous_secrecy_capacity(1.0, -1.0, 1.0, cfg)
 
 
 def asc_oracle_no_shared(cfg):
@@ -411,43 +367,40 @@ class TestPoiClosedForm:
 
 class TestAsymptoticConstants:
     def test_zero_index_identities(self):
-        c = asymptotic_constants(make_config(), 1, 1, 0)
-        assert c.dest_a == 1.0
-        assert c.dest_b_bar == 0.0
-        assert c.dest_c == 0.0
-        assert c.dest_d == 1.0
+        a, b_bar, d = _dest_family(make_config().q_approx, 0)
+        assert a == 1.0
+        assert b_bar == 0.0
+        assert d == 1.0
 
     def test_first_index_scale(self):
-        c = asymptotic_constants(make_config(), 1, 1, 1)
-        assert c.dest_a == pytest.approx(math.sqrt(2 * K1 + 1), abs=1e-12)
-        assert c.dest_a == pytest.approx(1.32982, abs=1e-5)
+        a, _, _ = _dest_family(make_config().q_approx, 1)
+        assert a == pytest.approx(math.sqrt(2 * K1 + 1), abs=1e-12)
+        assert a == pytest.approx(1.32982, abs=1e-5)
 
     def test_amplitudes_positive(self):
         cfg = make_config()
-        for j in (1, 2):
-            for k in (1, 2):
-                for n in (0, 1, 7, 40):
-                    c = asymptotic_constants(cfg, j, k, n)
-                    assert c.dest_d > 0.0
-                    assert c.eav_d > 0.0
-                    assert c.eav_d_bar > 0.0
-                    assert c.dest_a > 0.0
-                    assert c.eav_a > 0.0
+        dest, eav = effective_links(cfg.topology)
+        phi_e = eav.s / dest.s
+        for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0):
+            lam = _event_offset(ev, dest, eav)
+            for n in (0, 1, 7, 40):
+                dest_a, _, dest_d = _dest_family(cfg.q_approx, n)
+                eav_a, _, eav_d = _eav_family(cfg.q_approx, n, lam, phi_e)
+                assert dest_d > 0.0
+                assert eav_d > 0.0
+                assert dest_a > 0.0
+                assert eav_a > 0.0
 
     def test_offset_reflects_noise_states(self):
         cfg = make_config()
-        lam_11 = asymptotic_constants(cfg, 1, 1, 0).lam
-        lam_21 = asymptotic_constants(cfg, 2, 1, 0).lam
-        dest, _ = effective_links(cfg.topology)
+        dest, eav = effective_links(cfg.topology)
+        lam = {
+            (ev.dest_state, ev.eav_state): _event_offset(ev, dest, eav)
+            for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0)
+        }
         # Impulsive noise at the destination only weakens it by log(1+eta).
-        assert lam_21 - lam_11 == pytest.approx(math.log(11.0) / dest.s, rel=1e-12)
-
-    def test_rejects_bad_indices(self):
-        cfg = make_config()
-        with pytest.raises(DomainError):
-            asymptotic_constants(cfg, 0, 1, 0)
-        with pytest.raises(DomainError):
-            asymptotic_constants(cfg, 1, 1, -1)
+        shift = lam[(2, 1)] - lam[(1, 1)]
+        assert shift == pytest.approx(math.log(11.0) / dest.s, rel=1e-12)
 
 
 class TestPinholeBehaviour:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +11,6 @@ from plcsec import (
     alpha_factors,
     alpha_factors_tilde,
     noise_events,
-    sample_noise_state,
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
@@ -108,24 +106,7 @@ class TestNoiseEvents:
             assert (a2 == a1) == (eta == 0.0)
 
 
-class TestSampleNoiseState:
-    def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(0)
-        assert all(
-            sample_noise_state(NoiseParams(impulse_prob=0.0), rng) == 1 for _ in range(50)
-        )
-        assert all(
-            sample_noise_state(NoiseParams(impulse_prob=1.0), rng) == 2 for _ in range(50)
-        )
-
-    def test_empirical_frequency(self):
-        p = 0.37
-        rng = np.random.default_rng(123)
-        states = sample_noise_state(NoiseParams(impulse_prob=p), rng, size=1_000_000)
-        freq = np.mean(states == 2)
-        sigma = math.sqrt(p * (1 - p) / states.size)
-        assert abs(freq - p) < 3.0 * sigma
-
+class TestNoiseParams:
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             NoiseParams(background_var=0.0)

@@ -85,13 +85,22 @@ class TestSweepSpecValidation:
             with pytest.raises(ConfigError):
                 ScenarioParams(n_destinations=n)
             with pytest.raises(ConfigError):
+                ScenarioParams(n_destinations=2).system_config(n_destinations=n)
+            with pytest.raises(ConfigError):
                 PinholeTopology(link, link, link, n_destinations=n)
             with pytest.raises(ConfigError):
                 axis_spec()
             return
         assert PinholeTopology(link, link, link, n_destinations=n).n_destinations == 10
         assert type(ScenarioParams(n_destinations=n).n_destinations) is int
+        override = ScenarioParams(n_destinations=2).system_config(n_destinations=n)
+        assert override.topology.n_destinations == 10
         assert [type(v) for v in axis_spec().values] == [int]
+
+    @pytest.mark.parametrize("pinhole", ["no", 0, 1, None])
+    def test_scenario_rejects_non_bool_pinhole(self, pinhole):
+        with pytest.raises(ConfigError, match="pinhole"):
+            ScenarioParams(pinhole=pinhole)
 
 
 class TestRunSweep:
@@ -240,6 +249,17 @@ class TestConfigFiles:
             loads_config(text.format("true"))
         values = loads_config(text.format("2.0")).values
         assert values == (1, 2) and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_destinations", "10.0"), ("n_destinations", "true"),
+         ("n_destinations", '"10"'), ("n_destinations", "0"), ("pinhole", '"no"'),
+         ("pinhole", "1")],
+    )
+    def test_scenario_type_errors_carry_system_prefix(self, key, value):
+        text = f"preset: fig8\nvariant: base\nsystem:\n  {key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"^system: {key} "):
+            loads_config(text)
 
     def test_preset_reference_with_override(self):
         text = "preset: fig3\nvariant: n10-ph\nvalues: [0.0, 10.0]\n"
