@@ -21,6 +21,7 @@ from scipy import integrate
 from plcsec import (
     EvaluationError,
     LinkParams,
+    McConfig,
     NoiseParams,
     PinholeTopology,
     ScenarioParams,
@@ -30,6 +31,7 @@ from plcsec import (
     asc_quadrature,
     effective_links,
     gauss_hermite_rule,
+    mc_asc,
     noise_events,
     poi_closed_form,
     poi_quadrature,
@@ -77,6 +79,57 @@ def make_config(
 
 def normal_pdf(t):
     return np.exp(-0.5 * t * t) / SQRT_2PI
+
+
+def pinned_gains_config(ga, gn, ge, **kw):
+    """Configuration whose link gains are fixed at ``ga``, ``gn``, ``ge``."""
+    return make_config(
+        m_a=math.log(ga), m_b=math.log(gn), m_e=math.log(ge),
+        s_a=1e-12, s_b=1e-12, s_e=1e-12, n=1, **kw,
+    )
+
+
+class TestInstantaneousSecrecyCapacity:
+    """Monte Carlo scores the clamped rate difference of each trial under
+    its realized noise states; with pinned gains only the states vary, so
+    the estimate must match the four-event mixture at those gains."""
+
+    def test_equal_arguments_cancel_same_state_events(self):
+        # With identical noise at both nodes and equal branch gains, the
+        # same-state events see identical rates; only cross-state events
+        # contribute.
+        g = 0.37
+        cfg = pinned_gains_config(1.7, g, g, p_b=0.3, p_e=0.3, eta_b=5.0, eta_e=5.0)
+        est = mc_asc(cfg, McConfig(samples=200_000, seed=12))
+        a1 = cfg.transmit_power / 1.0
+        a2 = a1 / 6.0
+        cross = math.log1p(a1 * 1.7 * g) / LN2 - math.log1p(a2 * 1.7 * g) / LN2
+        # Only (state1, state2) contributes: (1-p) * p * cross.
+        assert abs(est.value - 0.7 * 0.3 * cross) <= est.ci_halfwidth
+
+    def test_clamp_floors_at_zero(self):
+        cfg = pinned_gains_config(1.0, 0.001, 10.0, p_b=0.0, p_e=0.0, eta_b=0.0, eta_e=0.0)
+        # Destination weaker than the eavesdropper: every trial clamps to 0.
+        est = mc_asc(cfg, McConfig(samples=10_000, seed=3))
+        assert est.value == 0.0
+        assert est.ci_halfwidth == 0.0
+
+    def test_matches_direct_four_term_evaluation(self):
+        rng = np.random.default_rng(99)
+        for i in range(5):
+            ga, gn, ge = np.exp(rng.normal(size=3) * 2.0)
+            cfg = pinned_gains_config(
+                ga, gn, ge, p_b=0.25, p_e=0.6, eta_b=3.0, eta_e=30.0, power=17.0
+            )
+            expected = 0.0
+            for j, pj in ((1, 0.75), (2, 0.25)):
+                ab = 17.0 / (1.0 if j == 1 else 4.0)
+                for k, pk in ((1, 0.4), (2, 0.6)):
+                    ae = 17.0 / (1.0 if k == 1 else 31.0)
+                    diff = math.log2(1 + ab * ga * gn) - math.log2(1 + ae * ga * ge)
+                    expected += pj * pk * max(diff, 0.0)
+            est = mc_asc(cfg, McConfig(samples=100_000, seed=40 + i, confidence=0.999))
+            assert abs(est.value - expected) <= est.ci_halfwidth
 
 
 def asc_oracle_no_shared(cfg):

@@ -1,4 +1,5 @@
-"""Impulsive-noise parameters, SNR factors and the four joint events."""
+"""Impulsive-noise parameters, SNR factors, the four joint events and the
+per-trial noise-state draws of Monte Carlo."""
 
 import math
 
@@ -7,9 +8,15 @@ from hypothesis import given, strategies as st
 
 from plcsec import (
     ConfigError,
+    LinkParams,
+    McConfig,
     NoiseParams,
+    PinholeTopology,
+    SystemConfig,
     alpha_factors,
     alpha_factors_tilde,
+    mc_asc,
+    mc_poi,
     noise_events,
 )
 
@@ -114,3 +121,42 @@ class TestNoiseParams:
             NoiseParams(impulse_ratio=-1.0)
         with pytest.raises(ConfigError):
             NoiseParams(impulse_prob=1.5)
+
+
+def system(dest_noise, eav_noise, m_b=-4.6, m_e=-9.2, s=1.38, n=4):
+    link = lambda m: LinkParams(m, s)
+    return SystemConfig(
+        topology=PinholeTopology(link(-4.6), link(m_b), link(m_e), n_destinations=n),
+        dest_noise=dest_noise,
+        eav_noise=eav_noise,
+        transmit_power=100.0,
+    )
+
+
+class TestSampleNoiseState:
+    """Monte Carlo draws one Bernoulli noise state per node class per trial."""
+
+    def test_degenerate_probabilities(self):
+        # impulse_prob 0 never draws state 2, so the impulse ratio is moot;
+        # impulse_prob 1 always draws it, which is the same as background
+        # noise (1 + ratio) times stronger.  Same seed, same other draws.
+        mc = McConfig(samples=20_000, seed=6)
+        quiet = NoiseParams(1.0, 0.0, 0.0)
+        never = mc_asc(system(NoiseParams(1.0, 1e3, 0.0), NoiseParams(1.0, 50.0, 0.0)), mc)
+        assert never == mc_asc(system(quiet, quiet), mc)
+        always = system(NoiseParams(1.0, 9.0, 1.0), NoiseParams(1.0, 3.0, 1.0))
+        scaled = system(NoiseParams(10.0, 0.0, 0.0), NoiseParams(4.0, 0.0, 0.0))
+        assert mc_asc(always, mc) == mc_asc(scaled, mc)
+        assert mc_poi(always, mc) == mc_poi(scaled, mc)
+
+    def test_empirical_frequency(self):
+        # Fixed gains, destination 1 neper above the eavesdropper: an
+        # intercept happens exactly when the destination draws an impulse
+        # (ratio 10 costs ln 11 > 1 neper), so the POI estimate is the
+        # empirical frequency of state 2.
+        p = 0.37
+        cfg = system(NoiseParams(1.0, 10.0, p), NoiseParams(), m_b=1.0, m_e=0.0, s=1e-9, n=1)
+        samples = 1_000_000
+        freq = mc_poi(cfg, McConfig(samples=samples, seed=123)).value
+        sigma = math.sqrt(p * (1 - p) / samples)
+        assert abs(freq - p) < 3.0 * sigma

@@ -141,6 +141,10 @@ class TestGaussHermiteRule:
 
 
 class TestExpectStandardNormal:
+    def test_weight_normalization(self):
+        rule = gauss_hermite_rule(32)
+        assert np.dot(rule.weights, np.ones_like(rule.nodes)) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_lognormal_mean_identity(self, s):
         # E[exp(s Z + m)] = exp(m + s^2 / 2).
