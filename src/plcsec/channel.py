@@ -53,10 +53,6 @@ class LinkParams:
 
 def link_params_from_db(m_db: float, s_db: float) -> LinkParams:
     """Convert dB-domain shadowing parameters to the natural-log domain."""
-    if not (math.isfinite(m_db) and math.isfinite(s_db)):
-        raise ConfigError("dB link parameters must be finite")
-    if s_db <= 0.0:
-        raise ConfigError("s_db must be > 0")
     return LinkParams(m=m_db * DB_TO_NATURAL, s=s_db * DB_TO_NATURAL)
 
 

@@ -9,15 +9,15 @@ resolved canonical form, and ``load(dump(spec))`` is the identity.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
 from .montecarlo import McConfig
-from .special_math import DEFAULT_QUAD_ORDER
-from .sweep import DEFAULT_MC, ScenarioParams, SweepSpec
+from .noise import NoiseParams
+from .sweep import _REAL_FIELDS, DEFAULT_MC, ScenarioParams, SweepSpec
 
 __all__ = ["dump_config", "load_config", "loads_config", "spec_to_dict"]
 
@@ -32,19 +32,31 @@ _TOP_KEYS = {
     "monte_carlo",
     "system",
 }
-_SYSTEM_KEYS = {
-    "n_destinations",
-    "pinhole",
-    "transmit_power_db",
-    "source",
-    "destination",
-    "eavesdropper",
-    "dest_noise",
-    "eav_noise",
+# The ``system`` schema: each YAML leaf and the ScenarioParams field it fills.
+_SYSTEM_FIELDS = {
+    "n_destinations": "n_destinations",
+    "pinhole": "pinhole",
+    "transmit_power_db": "transmit_power_db",
+    "source": {"mean_db": "m_a_db", "sd_db": "s_a_db"},
+    "destination": {"mean_db": "m_b_db", "sd_db": "s_b_db"},
+    "eavesdropper": {"mean_db": "m_e_db", "sd_db": "s_e_db"},
+    "dest_noise": {
+        "background_var": "bg_var_b",
+        "impulse_ratio": "eta_b",
+        "impulse_prob": "p_b",
+    },
+    "eav_noise": {
+        "background_var": "bg_var_e",
+        "impulse_ratio": "eta_e",
+        "impulse_prob": "p_e",
+    },
 }
-_LINK_KEYS = {"mean_db", "sd_db"}
-_NOISE_KEYS = {"background_var", "impulse_ratio", "impulse_prob"}
-_MC_KEYS = {"samples", "seed", "workers", "confidence"}
+# Keys that must be given, each with all of its leaves.  An omitted
+# ``pinhole`` or ``transmit_power_db`` takes ScenarioParams' default.  The
+# noise leaves are NoiseParams' fields, and an omitted one takes NoiseParams'
+# default: no impulsive noise, unlike ScenarioParams' p=0.1, eta=10.
+_REQUIRED_SYSTEM = ("n_destinations", "source", "destination", "eavesdropper")
+_MC_KEYS = {f.name for f in fields(McConfig)}
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
@@ -60,29 +72,12 @@ def spec_to_dict(spec: SweepSpec) -> dict:
         "values": values,
         "methods": list(spec.methods),
         "quadrature_order": spec.quadrature_order,
-        "monte_carlo": {
-            "samples": spec.mc.samples,
-            "seed": spec.mc.seed,
-            "workers": spec.mc.workers,
-            "confidence": spec.mc.confidence,
-        },
+        "monte_carlo": asdict(spec.mc),
         "system": {
-            "n_destinations": base.n_destinations,
-            "pinhole": base.pinhole,
-            "transmit_power_db": float(base.transmit_power_db),
-            "source": {"mean_db": float(base.m_a_db), "sd_db": float(base.s_a_db)},
-            "destination": {"mean_db": float(base.m_b_db), "sd_db": float(base.s_b_db)},
-            "eavesdropper": {"mean_db": float(base.m_e_db), "sd_db": float(base.s_e_db)},
-            "dest_noise": {
-                "background_var": float(base.bg_var_b),
-                "impulse_ratio": float(base.eta_b),
-                "impulse_prob": float(base.p_b),
-            },
-            "eav_noise": {
-                "background_var": float(base.bg_var_e),
-                "impulse_ratio": float(base.eta_e),
-                "impulse_prob": float(base.p_e),
-            },
+            key: getattr(base, fill)
+            if isinstance(fill, str)
+            else {leaf: getattr(base, name) for leaf, name in fill.items()}
+            for key, fill in _SYSTEM_FIELDS.items()
         },
     }
 
@@ -92,7 +87,7 @@ def dump_config(spec: SweepSpec) -> str:
 
 
 def _check_keys(data: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - allowed, key=str)
     if unknown:
         where = f"{path}." if path else ""
         raise ConfigError(f"unknown key {where}{unknown[0]!r}")
@@ -111,59 +106,35 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _link(data, path: str) -> tuple[float, float]:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping with mean_db/sd_db")
-    _check_keys(data, _LINK_KEYS, path)
-    return (
-        _number(_require(data, "mean_db", path), f"{path}.mean_db"),
-        _number(_require(data, "sd_db", path), f"{path}.sd_db"),
-    )
-
-
-def _noise(data, path: str, defaults: dict) -> dict:
-    if data is None:
-        return dict(defaults)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    _check_keys(data, _NOISE_KEYS, path)
-    out = dict(defaults)
-    for key in _NOISE_KEYS & set(data):
-        out[key] = _number(data[key], f"{path}.{key}")
-    return out
-
-
-def _scenario(data: dict) -> ScenarioParams:
+def _scenario(data) -> ScenarioParams:
     if not isinstance(data, dict):
         raise ConfigError("system: expected a mapping")
-    _check_keys(data, _SYSTEM_KEYS, "system")
-    m_a, s_a = _link(_require(data, "source", "system"), "system.source")
-    m_b, s_b = _link(_require(data, "destination", "system"), "system.destination")
-    m_e, s_e = _link(_require(data, "eavesdropper", "system"), "system.eavesdropper")
-    n = _require(data, "n_destinations", "system")
-    defaults = {"background_var": 1.0, "impulse_ratio": 0.0, "impulse_prob": 0.0}
-    dn = _noise(data.get("dest_noise"), "system.dest_noise", defaults)
-    en = _noise(data.get("eav_noise"), "system.eav_noise", defaults)
+    _check_keys(data, set(_SYSTEM_FIELDS), "system")
+    kwargs = {}
+    for key, fill in _SYSTEM_FIELDS.items():
+        required = key in _REQUIRED_SYSTEM
+        if required:
+            _require(data, key, "system")
+        path = f"system.{key}"
+        if isinstance(fill, str):
+            if key in data:
+                value = data[key]
+                kwargs[fill] = _number(value, path) if fill in _REAL_FIELDS else value
+            continue
+        section = data.get(key)
+        if section is None:
+            section = {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: expected a mapping")
+        _check_keys(section, set(fill), path)
+        for leaf, name in fill.items():
+            if required:
+                value = _require(section, leaf, path)
+            else:
+                value = section.get(leaf, getattr(NoiseParams, leaf))
+            kwargs[name] = _number(value, f"{path}.{leaf}")
     try:
-        return ScenarioParams(
-            m_a_db=m_a,
-            s_a_db=s_a,
-            m_b_db=m_b,
-            s_b_db=s_b,
-            m_e_db=m_e,
-            s_e_db=s_e,
-            n_destinations=n,
-            pinhole=data.get("pinhole", True),
-            transmit_power_db=_number(
-                data.get("transmit_power_db", 20.0), "system.transmit_power_db"
-            ),
-            p_b=dn["impulse_prob"],
-            p_e=en["impulse_prob"],
-            eta_b=dn["impulse_ratio"],
-            eta_e=en["impulse_ratio"],
-            bg_var_b=dn["background_var"],
-            bg_var_e=en["background_var"],
-        )
+        return ScenarioParams(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"system: {exc}") from None
 
@@ -174,17 +145,8 @@ def _mc(data) -> McConfig:
     if not isinstance(data, dict):
         raise ConfigError("monte_carlo: expected a mapping")
     _check_keys(data, _MC_KEYS, "monte_carlo")
-    kwargs = {}
-    for key in ("samples", "seed", "workers"):
-        if key in data:
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"monte_carlo.{key}: expected an integer")
-            kwargs[key] = value
-    if "confidence" in data:
-        kwargs["confidence"] = _number(data["confidence"], "monte_carlo.confidence")
     try:
-        return replace(DEFAULT_MC, **kwargs)
+        return replace(DEFAULT_MC, **data)
     except ConfigError as exc:
         raise ConfigError(f"monte_carlo: {exc}") from None
 
@@ -203,12 +165,8 @@ def dict_to_spec(data: dict) -> SweepSpec:
         isinstance(m, str) for m in methods
     ):
         raise ConfigError("methods: expected a list of method names")
-    label = data.get("label", "")
-    if not isinstance(label, str):
+    if not isinstance(data.get("label", ""), str):
         raise ConfigError("label: expected a string")
-    quad_order = data.get("quadrature_order", DEFAULT_QUAD_ORDER)
-    if isinstance(quad_order, bool) or not isinstance(quad_order, int):
-        raise ConfigError("quadrature_order: expected an integer")
     axis = data["axis"]
     if axis == "n_destinations":
         for i, v in enumerate(values):
@@ -217,15 +175,15 @@ def dict_to_spec(data: dict) -> SweepSpec:
                     f"values[{i}]: expected a whole destination count, got {v!r}"
                 )
         values = tuple(int(v) for v in values)
+    optional = {key: data[key] for key in ("label", "quadrature_order") if key in data}
     return SweepSpec(
         metric=data["metric"],
         axis=axis,
         values=values,
         methods=tuple(methods),
         base=_scenario(data["system"]),
-        quadrature_order=quad_order,
         mc=_mc(data.get("monte_carlo")),
-        label=label,
+        **optional,
     )
 
 

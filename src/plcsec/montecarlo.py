@@ -20,6 +20,7 @@ for any worker count and any completion order.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -49,12 +50,14 @@ class McConfig:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples, (int, np.integer)) or self.samples < 10_000:
-            raise ConfigError("samples must be an integer >= 10000 for the CI to mean anything")
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
-            raise ConfigError("workers must be a positive integer")
-        if not 0.5 < self.confidence < 1.0:
-            raise ConfigError("confidence must lie in (0.5, 1)")
+        # Below 10000 samples the normal-approximation CI means little.
+        for name, low in (("samples", 10_000), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        c = self.confidence
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0.5 < c < 1.0:
+            raise ConfigError(f"confidence must be a number in (0.5, 1), got {c!r}")
 
 
 def _z_score(confidence: float) -> float:

@@ -4,10 +4,10 @@ A :class:`ScenarioParams` is the dB-domain description of one system (link
 shadowing parameters, noise statistics, destination count, pinhole flag);
 :class:`SweepSpec` runs one metric over one axis (transmit power in dB or
 the number of destinations) with a set of evaluation methods.  Sweeps are
-deterministic given the spec: Monte Carlo points derive their substreams
-from the master seed and the point index, rows are emitted in axis order
-regardless of completion order, and CSV output is byte-stable so it can be
-used in golden-file regressions.
+deterministic given the spec: points are evaluated one after another in axis
+order, Monte Carlo points derive their substreams from the master seed and
+the point index, and CSV output is byte-stable so it can be used in
+golden-file regressions.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -18,7 +18,7 @@ noise floor is known.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,7 +54,12 @@ ASC_METHODS = ("quadrature", "asymptotic", "asymptotic-large-n", "monte-carlo")
 POI_METHODS = ("quadrature", "closed-form-poi", "monte-carlo")
 AXES = ("transmit_power_db", "n_destinations")
 
-DEFAULT_MC = McConfig(samples=1_000_000, seed=20230117, workers=1)
+DEFAULT_MC = McConfig(samples=1_000_000, seed=20230117)
+
+_REAL_FIELDS = (
+    "m_a_db", "s_a_db", "m_b_db", "s_b_db", "m_e_db", "s_e_db", "transmit_power_db",
+    "p_b", "p_e", "eta_b", "eta_e", "bg_var_b", "bg_var_e",
+)
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,17 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         # Fail at construction, not at first use: config loading relies on it.
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+            # A plain float keeps the resolved config YAML-dumpable.
+            object.__setattr__(self, name, float(value))
         for name in ("s_a_db", "s_b_db", "s_e_db"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in (
-            "m_a_db", "m_b_db", "m_e_db", "transmit_power_db",
-            "p_b", "p_e", "eta_b", "eta_e", "bg_var_b", "bg_var_e",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
         for name in ("p_b", "p_e"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
@@ -188,7 +195,10 @@ class SweepSpec:
         object.__setattr__(self, "methods", methods)
         # Validate the quadrature order eagerly so config errors surface
         # before a sweep starts.
-        gauss_hermite_rule(self.quadrature_order)
+        try:
+            gauss_hermite_rule(self.quadrature_order)
+        except TypeError:  # unhashable: the rule's cache fails before its check
+            raise ConfigError("quadrature order must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -231,9 +241,9 @@ def _evaluate_point(spec: SweepSpec, index: int, axis_value, method: str) -> Sec
             n_destinations=axis_value, quad_order=spec.quadrature_order
         )
     if method == "monte-carlo":
-        # One substream per point; blocks inside are already deterministic,
-        # so worker parallelism stays at the point level.
-        mc = replace(spec.mc, seed=_point_seed(spec.mc.seed, index), workers=1)
+        # One substream per point; its blocks come out the same for any
+        # worker count.
+        mc = replace(spec.mc, seed=_point_seed(spec.mc.seed, index))
         return mc_asc(cfg, mc) if spec.metric == "asc" else mc_poi(cfg, mc)
     return _EVALUATORS[(spec.metric, method)](cfg)
 
@@ -241,38 +251,28 @@ def _evaluate_point(spec: SweepSpec, index: int, axis_value, method: str) -> Sec
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    Points are dispatched to a bounded pool; rows come back in axis order
-    (methods in spec order within a point) regardless of completion order.
-    A failing point becomes a :class:`SweepError` and the sweep continues.
+    Rows come in axis order, methods in spec order within a point.  A failing
+    point becomes a :class:`SweepError` and the sweep continues.
     """
-    tasks = [
-        (index, axis_value, method)
-        for index, axis_value in enumerate(spec.values)
-        for method in spec.methods
-    ]
-
-    def work(task):
-        index, axis_value, method = task
-        try:
-            result = _evaluate_point(spec, index, axis_value, method)
-        except PlcsecError as exc:
-            return SweepError(axis_value=axis_value, method=method, message=str(exc))
-        return SweepRow(
-            axis_value=axis_value,
-            method=method,
-            metric=spec.metric,
-            value=result.value,
-            ci_halfwidth=result.ci_halfwidth,
-        )
-
-    if spec.mc.workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=spec.mc.workers) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(t) for t in tasks]
-
-    rows = [o for o in outcomes if isinstance(o, SweepRow)]
-    errors = [o for o in outcomes if isinstance(o, SweepError)]
+    rows, errors = [], []
+    for index, axis_value in enumerate(spec.values):
+        for method in spec.methods:
+            try:
+                result = _evaluate_point(spec, index, axis_value, method)
+            except PlcsecError as exc:
+                errors.append(
+                    SweepError(axis_value=axis_value, method=method, message=str(exc))
+                )
+            else:
+                rows.append(
+                    SweepRow(
+                        axis_value=axis_value,
+                        method=method,
+                        metric=spec.metric,
+                        value=result.value,
+                        ci_halfwidth=result.ci_halfwidth,
+                    )
+                )
     return rows, errors
 
 

@@ -90,6 +90,15 @@ class TestMcConfig:
         with pytest.raises(ConfigError):
             McConfig(samples=100_000, seed=1, confidence=0.4)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", -1), ("seed", 1.5), ("seed", True), ("workers", True),
+         ("confidence", "x")],
+    )
+    def test_rejects_bad_types_and_negative_seed(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            McConfig(**{"samples": 100_000, "seed": 1, name: value})
+
 
 class TestMcAsc:
     def test_agrees_with_quadrature_on_simple_case(self):

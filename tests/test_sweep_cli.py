@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,8 @@ class TestSweepSpecValidation:
     def test_rejects_bad_quadrature_order(self):
         with pytest.raises(ConfigError):
             small_spec(quadrature_order=0)
+        with pytest.raises(ConfigError, match="quadrature order"):
+            small_spec(quadrature_order=[64])
 
     @pytest.mark.parametrize(
         "n, valid",
@@ -101,6 +104,18 @@ class TestSweepSpecValidation:
     def test_scenario_rejects_non_bool_pinhole(self, pinhole):
         with pytest.raises(ConfigError, match="pinhole"):
             ScenarioParams(pinhole=pinhole)
+
+    @pytest.mark.parametrize("value", ["x", None, True])
+    @pytest.mark.parametrize(
+        "name", ["m_a_db", "s_b_db", "transmit_power_db", "p_e", "eta_b", "bg_var_e"]
+    )
+    def test_scenario_rejects_non_number_fields(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+            ScenarioParams(**{name: value})
+
+    def test_scenario_rejects_non_finite_spread(self):
+        with pytest.raises(ConfigError, match="^s_b_db must be finite"):
+            ScenarioParams(s_b_db=math.nan)
 
 
 class TestRunSweep:
@@ -143,6 +158,30 @@ class TestRunSweep:
         first, _ = run_sweep(spec)
         second, _ = run_sweep(spec)
         assert first == second
+
+    def test_workers_reach_monte_carlo(self, monkeypatch):
+        seen = []
+        real = sweep_mod.mc_asc
+
+        def spy(cfg, mc):
+            seen.append(mc.workers)
+            return real(cfg, mc)
+
+        monkeypatch.setattr(sweep_mod, "mc_asc", spy)
+        spec = small_spec(values=(10.0,), methods=("monte-carlo",),
+                          mc=replace(TINY_MC, workers=2))
+        run_sweep(spec)
+        assert seen == [2]
+
+    def test_csv_is_identical_for_any_worker_count(self):
+        # Several 65536-trial blocks per point, so two workers share them.
+        spec = small_spec(values=(0.0, 20.0), methods=("quadrature", "monte-carlo"),
+                          mc=McConfig(samples=200_000, seed=5))
+        one, two = (
+            rows_to_csv(run_sweep(replace(spec, mc=replace(spec.mc, workers=w)))[0])
+            for w in (1, 2)
+        )
+        assert one == two
 
     def test_failing_point_becomes_error_record(self, monkeypatch):
         def boom(cfg):
@@ -227,6 +266,8 @@ class TestConfigFiles:
 
         with pytest.raises(ConfigError, match="system.'typo_key'"):
             loads_config(yaml.safe_dump(data))
+        with pytest.raises(ConfigError, match="unknown key monte_carlo.1"):
+            loads_config("preset: fig8\nvariant: base\nmonte_carlo: {1: a, foo: b}\n")
 
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="missing required field 'axis'"):
@@ -260,6 +301,23 @@ class TestConfigFiles:
         text = f"preset: fig8\nvariant: base\nsystem:\n  {key}: {value}\n"
         with pytest.raises(ConfigError, match=f"^system: {key} "):
             loads_config(text)
+
+    def test_bad_leaf_names_its_yaml_path_once(self):
+        text = "preset: fig8\nvariant: base\nsystem:\n  transmit_power_db: abc\n"
+        with pytest.raises(
+            ConfigError, match=r"^system\.transmit_power_db: expected a number"
+        ):
+            loads_config(text)
+
+    def test_omitted_noise_leaves_mean_no_impulsive_noise(self):
+        data = spec_to_dict(small_spec())
+        del data["system"]["eav_noise"]
+        del data["system"]["dest_noise"]["impulse_ratio"]
+        import yaml
+
+        base = loads_config(yaml.safe_dump(data)).base
+        assert (base.bg_var_e, base.eta_e, base.p_e) == (1.0, 0.0, 0.0)
+        assert (base.eta_b, base.p_b) == (0.0, 0.1)
 
     def test_preset_reference_with_override(self):
         text = "preset: fig3\nvariant: n10-ph\nvalues: [0.0, 10.0]\n"
@@ -327,6 +385,15 @@ class TestCli:
         assert main(["preset", "fig99"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text(
+            "preset: fig3\nvariant: n10-ph\nvalues: [0.0]\nmethods: [monte-carlo]\n"
+            "monte_carlo: {samples: 10000, seed: -1}\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        assert "config error: monte_carlo: seed" in capsys.readouterr().err
 
     def test_row_errors_exit_one_but_emit_surviving_rows(self, tmp_path, capsys):
         # 4000 dB passes validation but overflows the linear transmit power
