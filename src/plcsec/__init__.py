@@ -29,7 +29,6 @@ from .montecarlo import McConfig, mc_asc, mc_poi
 from .noise import (
     NoiseEvent,
     NoiseParams,
-    alpha_factors,
     alpha_factors_tilde,
     noise_events,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "SystemConfig",
-    "alpha_factors",
     "alpha_factors_tilde",
     "asc_asymptotic",
     "asc_asymptotic_large_n",

@@ -242,4 +242,9 @@ def loads_config(text: str) -> SweepSpec:
 
 def load_config(path) -> SweepSpec:
     """Load, resolve (presets + overrides) and validate a sweep config file."""
-    return loads_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from None
+    return loads_config(text)

@@ -101,12 +101,6 @@ class SecrecyResult:
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
 
-def _tilde_events(cfg: SystemConfig) -> list[NoiseEvent]:
-    # Unit transmit power turns the alpha factors into their power-stripped
-    # variants, keeping power-independent code paths structurally so.
-    return noise_events(cfg.dest_noise, cfg.eav_noise, 1.0)
-
-
 def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
     """Standardized mean offset of the eavesdropper contest for one event."""
     return (eav.m - dest.m + math.log(ev.alpha_e / ev.alpha_b)) / dest.s
@@ -124,12 +118,16 @@ def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
     point 1 when the pinhole is absent); each inner expectation runs over the
     scheduled destination's or the eavesdropper's standardized log-gain, with
     the positivity clamp appearing as the conditional CDF factor of the other
-    side.  The raw (unclamped) sum is returned: a slightly negative value is
-    a quadrature-accuracy diagnostic, not a property of the metric.
+    side.  Both clamp limits read the contest offset ``lam`` that the other
+    analytical routes use; transmit power enters only the two rates.  The
+    raw (unclamped) sum is returned: a slightly negative value is a
+    quadrature-accuracy diagnostic, not a property of the metric.
     """
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n = topo.n_destinations
+    p = cfg.transmit_power
+    phi_e = eav.s / dest.s
     rule = cfg.quadrature
     t = rule.nodes
     w = rule.weights
@@ -149,17 +147,15 @@ def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
 
     total = 0.0
     diagnostics: dict[str, float] = {}
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise, cfg.transmit_power):
-        log_ratio = math.log(ev.alpha_b) - math.log(ev.alpha_e)
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
+        lam = _event_offset(ev, dest, eav)
         # Destination side: clamp shows up as the eavesdropper CDF.
-        u_b = (dest.s * t + dest.m + log_ratio - eav.m) / eav.s
-        base_b = w * sel * sps.ndtr(u_b)
+        base_b = w * sel * sps.ndtr((t - lam) / phi_e)
         # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
-        u_e = (eav.s * t + eav.m - log_ratio - dest.m) / dest.s
-        base_e = w * (-np.expm1(n * sps.log_ndtr(u_e)))
+        base_e = w * (-np.expm1(n * sps.log_ndtr(phi_e * t + lam)))
 
-        rate_b = np.log1p(ev.alpha_b * x[:, None] * y[None, :]) / LN2
-        rate_e = np.log1p(ev.alpha_e * x[:, None] * z[None, :]) / LN2
+        rate_b = np.log1p(p * ev.alpha_b * x[:, None] * y[None, :]) / LN2
+        rate_e = np.log1p(p * ev.alpha_e * x[:, None] * z[None, :]) / LN2
         inner = rate_b @ base_b - rate_e @ base_e
         if not np.all(np.isfinite(inner)):
             bad = int(np.argmax(~np.isfinite(inner)))
@@ -180,7 +176,7 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
 
     For each noise event the intercept probability is
     ``E[Phi(phi_e t + lam)^N]`` over a standard normal t; transmit power
-    never enters (only power-stripped SNR factors appear), so results are
+    never enters (only power-free SNR factors appear), so results are
     bit-identical across transmit powers.
     """
     dest, eav = effective_links(cfg.topology)
@@ -190,7 +186,7 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
     w = cfg.quadrature.weights
 
     total = 0.0
-    for ev in _tilde_events(cfg):
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
         vals = np.exp(n * sps.log_ndtr(phi_e * t + lam))
         if not np.all(np.isfinite(vals)):
@@ -293,7 +289,7 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
 
     total = 0.0
     error = 0.0
-    for ev in _tilde_events(cfg):
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
         c0_b = math.log(ev.alpha_b) + dest.m
 
@@ -369,7 +365,7 @@ def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
 
     total = 0.0
     error = 0.0
-    for ev in _tilde_events(cfg):
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
         a, b, d = _eav_family(qp, n_dest, lam, phi_e)
         head = d * gaussian_segment_integrals(a, b).i_neg / phi_e

@@ -31,7 +31,7 @@ from scipy import special as sps
 from .channel import effective_links
 from .errors import ConfigError, EvaluationError
 from .metrics import LN2, SecrecyResult, SystemConfig
-from .noise import alpha_factors, alpha_factors_tilde
+from .noise import alpha_factors_tilde
 
 __all__ = ["McConfig", "mc_asc", "mc_poi"]
 
@@ -111,8 +111,9 @@ def mc_asc(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
     dest, eav = effective_links(topo)
     src = topo.source_link
     n = topo.n_destinations
-    a1b, a2b = alpha_factors(cfg.transmit_power, cfg.dest_noise)
-    a1e, a2e = alpha_factors(cfg.transmit_power, cfg.eav_noise)
+    power = cfg.transmit_power
+    a1b, a2b = (power * a for a in alpha_factors_tilde(cfg.dest_noise))
+    a1e, a2e = (power * a for a in alpha_factors_tilde(cfg.eav_noise))
     p_b = cfg.dest_noise.impulse_prob
     p_e = cfg.eav_noise.impulse_prob
 
@@ -152,7 +153,7 @@ def mc_asc(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
 def mc_poi(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
     """Empirical intercept frequency with a binomial CI.
 
-    The intercept comparison is done on log-gains with the power-stripped
+    The intercept comparison is done on log-gains with the power-free
     SNR factors: the shared gain and the transmit power multiply both sides
     of the inequality, so they are omitted rather than cancelled in floating
     point.  Trial outcomes are therefore identical across transmit powers

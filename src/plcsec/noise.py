@@ -12,10 +12,10 @@ State 1 means background only, state 2 background plus impulse.  Destination
 nodes share one statistic, the eavesdropper has its own, and arrivals at the
 two node classes are independent, giving four joint events per transmission.
 
-``alpha`` factors are transmit-power-to-effective-noise ratios, one per
-state; the ``tilde`` variants strip the transmit power and carry everything
-that survives in power-independent expressions (asymptotics, intercept
-probability).
+The SNR factors ``alpha~`` are power-free: ``1 / effective noise variance``,
+one per state.  Transmit power multiplies them only where a rate is formed
+(the quadrature and Monte Carlo average secrecy capacity); the asymptotes
+and the intercept probability never see it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import ConfigError
 __all__ = [
     "NoiseEvent",
     "NoiseParams",
-    "alpha_factors",
     "alpha_factors_tilde",
     "noise_events",
 ]
@@ -57,7 +56,8 @@ class NoiseEvent:
 
     ``dest_state``/``eav_state`` are 1 (background only) or 2 (impulse
     present); ``probability`` is the product of the per-node state
-    probabilities; ``alpha_b``/``alpha_e`` are the matching SNR factors.
+    probabilities; ``alpha_b``/``alpha_e`` are the matching power-free SNR
+    factors from :func:`alpha_factors_tilde`.
     """
 
     dest_state: int
@@ -67,30 +67,20 @@ class NoiseEvent:
     alpha_e: float
 
 
-def alpha_factors(p_transmit: float, noise: NoiseParams) -> tuple[float, float]:
-    """SNR factors (state 1, state 2) at transmit power ``p_transmit``."""
-    if not (math.isfinite(p_transmit) and p_transmit > 0.0):
-        raise ConfigError("transmit power must be finite and > 0")
-    a1, a2 = alpha_factors_tilde(noise)
-    return p_transmit * a1, p_transmit * a2
-
-
 def alpha_factors_tilde(noise: NoiseParams) -> tuple[float, float]:
-    """Power-stripped SNR factors ``1/var`` and ``1/(var (1 + ratio))``."""
+    """Power-free SNR factors ``1/var`` and ``1/(var (1 + ratio))``."""
     a1 = 1.0 / noise.background_var
     return a1, a1 / (1.0 + noise.impulse_ratio)
 
 
-def noise_events(
-    dest: NoiseParams, eav: NoiseParams, p_transmit: float
-) -> list[NoiseEvent]:
-    """The four joint events with probabilities and per-state SNR factors.
+def noise_events(dest: NoiseParams, eav: NoiseParams) -> list[NoiseEvent]:
+    """The four joint events with probabilities and power-free SNR factors.
 
     Probabilities are ``(1-p_b)(1-p_e)``, ``(1-p_b) p_e``, ``p_b (1-p_e)``
     and ``p_b p_e``; they sum to 1 exactly up to floating point.
     """
-    alphas_b = alpha_factors(p_transmit, dest)
-    alphas_e = alpha_factors(p_transmit, eav)
+    alphas_b = alpha_factors_tilde(dest)
+    alphas_e = alpha_factors_tilde(eav)
     weights_b = (1.0 - dest.impulse_prob, dest.impulse_prob)
     weights_e = (1.0 - eav.impulse_prob, eav.impulse_prob)
     return [

@@ -139,10 +139,8 @@ def available_presets() -> tuple[str, ...]:
 
 def get_preset(name: str) -> list[SweepSpec]:
     """All labelled sweep variants of a named preset."""
-    try:
-        factory = _PRESETS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
-        ) from None
-    return factory()
+        )
+    return _PRESETS[name]()

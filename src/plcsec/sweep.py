@@ -173,12 +173,18 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ConfigError("values must be a nonempty list")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("values must be strictly increasing")
         if self.axis == "n_destinations":
             if not all(is_destination_count(v) for v in values):
                 raise ConfigError("n_destinations values must be positive integers")
             values = tuple(int(v) for v in values)
+        elif not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values
+        ):
+            # NaN would slip past the ordering check: every comparison is false.
+            raise ConfigError("transmit_power_db values must be finite numbers")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError("values must be strictly increasing")
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("methods must be a nonempty list")

@@ -57,7 +57,7 @@ def event_inputs(cfg):
     eavesdropper, in double precision as the closed forms compute them."""
     dest, eav = effective_links(cfg.topology)
     phi_e = eav.s / dest.s
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0):
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = (eav.m - dest.m + math.log(ev.alpha_e / ev.alpha_b)) / dest.s
         c0_b = math.log(ev.alpha_b) + dest.m
         c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e

@@ -142,15 +142,16 @@ def asc_oracle_no_shared(cfg):
     """
     dest, eav = effective_links(cfg.topology)
     n = cfg.topology.n_destinations
+    power = cfg.transmit_power
 
     total = 0.0
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise, cfg.transmit_power):
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         if ev.probability == 0.0:
             continue
 
         def inner(ze):
             gain_e = math.exp(eav.m + eav.s * ze)
-            rate_e = math.log1p(ev.alpha_e * gain_e) / LN2
+            rate_e = math.log1p(power * ev.alpha_e * gain_e) / LN2
             # Positive secrecy requires alpha_b * gain_b > alpha_e * gain_e.
             z_lo = (
                 math.log(ev.alpha_e / ev.alpha_b) + eav.m + eav.s * ze - dest.m
@@ -158,7 +159,7 @@ def asc_oracle_no_shared(cfg):
 
             def body(zb):
                 gain_b = math.exp(dest.m + dest.s * zb)
-                rate_b = math.log1p(ev.alpha_b * gain_b) / LN2
+                rate_b = math.log1p(power * ev.alpha_b * gain_b) / LN2
                 dens = (
                     n * (1.0 - q_function(zb)) ** (n - 1) * float(normal_pdf(zb))
                 )
@@ -274,7 +275,7 @@ class TestAscAsymptotic:
         cfg = make_config(n=n)
         dest, eav = effective_links(cfg.topology)
         expected = 0.0
-        for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0):
+        for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
             expected += ev.probability * asymptotic_event_oracle(
                 ev.alpha_b, ev.alpha_e, dest.m, dest.s, eav.m, eav.s, n
             )
@@ -386,7 +387,7 @@ class TestPoiClosedForm:
         cfg = make_config(n=n)
         dest, eav = effective_links(cfg.topology)
         expected = 0.0
-        for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0):
+        for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
             expected += ev.probability * poi_event_oracle(
                 ev.alpha_b, ev.alpha_e, dest.m, dest.s, eav.m, eav.s, n
             )
@@ -434,7 +435,7 @@ class TestAsymptoticConstants:
         cfg = make_config()
         dest, eav = effective_links(cfg.topology)
         phi_e = eav.s / dest.s
-        for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0):
+        for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
             lam = _event_offset(ev, dest, eav)
             for n in (0, 1, 7, 40):
                 dest_a, _, dest_d = _dest_family(cfg.q_approx, n)
@@ -449,7 +450,7 @@ class TestAsymptoticConstants:
         dest, eav = effective_links(cfg.topology)
         lam = {
             (ev.dest_state, ev.eav_state): _event_offset(ev, dest, eav)
-            for ev in noise_events(cfg.dest_noise, cfg.eav_noise, 1.0)
+            for ev in noise_events(cfg.dest_noise, cfg.eav_noise)
         }
         # Impulsive noise at the destination only weakens it by log(1+eta).
         shift = lam[(2, 1)] - lam[(1, 1)]

@@ -13,7 +13,6 @@ from plcsec import (
     NoiseParams,
     PinholeTopology,
     SystemConfig,
-    alpha_factors,
     alpha_factors_tilde,
     mc_asc,
     mc_poi,
@@ -25,32 +24,31 @@ probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 class TestAlphaFactors:
     def test_no_impulse_collapses_states(self):
-        a1, a2 = alpha_factors(3.5, NoiseParams(background_var=2.0, impulse_ratio=0.0))
+        a1, a2 = alpha_factors_tilde(NoiseParams(background_var=2.0, impulse_ratio=0.0))
         assert a1 == a2
 
     def test_reference_setting(self):
-        assert alpha_factors(1.0, NoiseParams(1.0, 10.0, 0.1)) == (1.0, 1.0 / 11.0)
+        assert alpha_factors_tilde(NoiseParams(1.0, 10.0, 0.1)) == (1.0, 1.0 / 11.0)
 
     @pytest.mark.parametrize("power", [0.5, 1.0, 123.0])
     def test_state_ratio_is_power_free(self, power):
+        # The rates scale both factors by the transmit power.
         noise = NoiseParams(background_var=0.3, impulse_ratio=7.0)
-        a1, a2 = alpha_factors(power, noise)
+        a1, a2 = (power * a for a in alpha_factors_tilde(noise))
         assert a1 / a2 == pytest.approx(1.0 + noise.impulse_ratio, rel=1e-14)
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ConfigError):
-            alpha_factors(0.0, NoiseParams())
+        # SystemConfig is the one place transmit power is checked.
+        link = LinkParams(0.0, 1.0)
+        topo = PinholeTopology(link, link, link, n_destinations=1)
+        for power in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="transmit_power must be finite and > 0"):
+                SystemConfig(topo, NoiseParams(), NoiseParams(), transmit_power=power)
 
 
 class TestAlphaFactorsTilde:
     def test_unit_variance_no_impulse(self):
         assert alpha_factors_tilde(NoiseParams(1.0, 0.0)) == (1.0, 1.0)
-
-    def test_power_scaling_identity(self):
-        noise = NoiseParams(0.7, 4.0)
-        t1, t2 = alpha_factors_tilde(noise)
-        a1, a2 = alpha_factors(9.0, noise)
-        assert (a1, a2) == (9.0 * t1, 9.0 * t2)
 
     def test_reference_values(self):
         t1, t2 = alpha_factors_tilde(NoiseParams(2.0, 10.0))
@@ -60,31 +58,27 @@ class TestAlphaFactorsTilde:
 
 class TestNoiseEvents:
     def test_no_impulses_single_event(self):
-        events = noise_events(NoiseParams(), NoiseParams(), 1.0)
+        events = noise_events(NoiseParams(), NoiseParams())
         probs = {(e.dest_state, e.eav_state): e.probability for e in events}
         assert probs[(1, 1)] == 1.0
         assert probs[(1, 2)] == probs[(2, 1)] == probs[(2, 2)] == 0.0
 
     def test_reference_probabilities(self):
-        events = noise_events(
-            NoiseParams(impulse_prob=0.1), NoiseParams(impulse_prob=0.1), 1.0
-        )
+        events = noise_events(NoiseParams(impulse_prob=0.1), NoiseParams(impulse_prob=0.1))
         got = [e.probability for e in events]
         assert got == pytest.approx([0.81, 0.09, 0.09, 0.01])
 
     def test_alpha_assignment_tracks_states(self):
         dest = NoiseParams(1.0, 10.0, 0.2)
         eav = NoiseParams(4.0, 3.0, 0.7)
-        for ev in noise_events(dest, eav, 2.0):
-            expect_b = alpha_factors(2.0, dest)[ev.dest_state - 1]
-            expect_e = alpha_factors(2.0, eav)[ev.eav_state - 1]
+        for ev in noise_events(dest, eav):
+            expect_b = alpha_factors_tilde(dest)[ev.dest_state - 1]
+            expect_e = alpha_factors_tilde(eav)[ev.eav_state - 1]
             assert (ev.alpha_b, ev.alpha_e) == (expect_b, expect_e)
 
     @given(probabilities, probabilities)
     def test_probabilities_form_a_distribution(self, p_b, p_e):
-        events = noise_events(
-            NoiseParams(impulse_prob=p_b), NoiseParams(impulse_prob=p_e), 1.0
-        )
+        events = noise_events(NoiseParams(impulse_prob=p_b), NoiseParams(impulse_prob=p_e))
         total = math.fsum(e.probability for e in events)
         assert abs(total - 1.0) <= 1e-15
         assert all(0.0 <= e.probability <= 1.0 for e in events)
@@ -95,10 +89,8 @@ class TestNoiseEvents:
         # is why the intercept probability is scale-invariant.
         dest = NoiseParams(1.0, 10.0, 0.1)
         eav = NoiseParams(1.0, 3.0, 0.4)
-        scaled = noise_events(
-            NoiseParams(5.0, 10.0, 0.1), NoiseParams(5.0, 3.0, 0.4), 1.0
-        )
-        base = noise_events(dest, eav, 1.0)
+        scaled = noise_events(NoiseParams(5.0, 10.0, 0.1), NoiseParams(5.0, 3.0, 0.4))
+        base = noise_events(dest, eav)
         for b, s in zip(base, scaled):
             assert s.probability == b.probability
             assert s.alpha_e / s.alpha_b == pytest.approx(
@@ -108,7 +100,7 @@ class TestNoiseEvents:
 
     def test_state_two_never_exceeds_state_one(self):
         for eta in (0.0, 1.0, 50.0):
-            a1, a2 = alpha_factors(1.0, NoiseParams(1.0, eta))
+            a1, a2 = alpha_factors_tilde(NoiseParams(1.0, eta))
             assert a2 <= a1
             assert (a2 == a1) == (eta == 0.0)
 

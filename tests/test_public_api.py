@@ -28,7 +28,6 @@ PUBLIC = [
     "SweepSpec",
     "SystemConfig",
     "__version__",
-    "alpha_factors",
     "alpha_factors_tilde",
     "asc_asymptotic",
     "asc_asymptotic_large_n",
@@ -53,7 +52,8 @@ PUBLIC = [
     "run_sweep",
 ]
 
-# Helpers that only tests ever called, by the module that defined them.
+# Helpers that only tests ever called, and the power-scaled SNR factors that
+# the noise layer no longer forms, by the module that defined them.
 REMOVED = {
     "channel": [
         "best_destination_cdf",
@@ -68,7 +68,7 @@ REMOVED = {
         "asymptotic_constants",
         "instantaneous_secrecy_capacity",
     ],
-    "noise": ["sample_noise_state"],
+    "noise": ["alpha_factors", "sample_noise_state"],
     "special_math": ["expect_standard_normal"],
 }
 

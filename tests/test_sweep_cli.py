@@ -50,6 +50,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match="strictly increasing"):
             small_spec(values=(20.0, 0.0))
 
+    def test_power_values_must_be_finite_numbers(self):
+        for bad in ((0.0, math.nan, 5.0), (math.inf,), (True, 2.0), ("10",)):
+            with pytest.raises(ConfigError, match="finite numbers"):
+                small_spec(values=bad)
+
     def test_rejects_empty_values(self):
         with pytest.raises(ConfigError):
             small_spec(values=())
@@ -386,14 +391,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
 
-    def test_negative_seed_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "mc.yaml"
-        cfg.write_text(
-            "preset: fig3\nvariant: n10-ph\nvalues: [0.0]\nmethods: [monte-carlo]\n"
-            "monte_carlo: {samples: 10000, seed: -1}\n"
-        )
-        assert main(["sweep", str(cfg)]) == 2
-        assert "config error: monte_carlo: seed" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "Is a directory"),
+            (b"metric: asc\n# \xff\n", "can't decode byte 0xff"),
+            (b"preset: [fig3]\n", "unknown preset ['fig3']; available: fig3"),
+            (b"preset: fig3\nvariant: n10-ph\nvalues: [10, .nan, 5]\n", "finite numbers"),
+            (b"preset: fig3\nvariant: n10-ph\nvalues: [.inf]\n", "finite numbers"),
+            (
+                b"preset: fig3\nvariant: n10-ph\nvalues: [0.0]\nmethods: [monte-carlo]\n"
+                b"monte_carlo: {samples: 10000, seed: -1}\n",
+                "monte_carlo: seed",
+            ),
+        ],
+        ids=["directory", "non-utf8", "list-preset", "nan-power", "inf-power", "negative-seed"],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, content, message):
+        # None stands for a directory where the config file should be.
+        path = tmp_path / "bad.yaml"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        for command in ("validate", "sweep"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
+            assert "Traceback" not in err
 
     def test_row_errors_exit_one_but_emit_surviving_rows(self, tmp_path, capsys):
         # 4000 dB passes validation but overflows the linear transmit power
