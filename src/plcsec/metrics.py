@@ -111,6 +111,9 @@ def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+# An overflowing gain or rate leaves a non-finite term, which raises the
+# EvaluationError below; numpy's warning would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
     """Average secrecy capacity by nested standard-normal quadrature.
 

@@ -15,6 +15,14 @@ each block owning a counter-derived substream of the master seed.  Workers
 only decide *who* computes a block, never *what* it contains, and block
 partials are combined with exact summation, so results are bit-identical
 for any worker count and any completion order.
+
+Common random numbers: the draws depend only on ``(samples, seed)`` and the
+scenario, never on transmit power, so calls that share a seed share their
+trials.  ``mc_asc(..., powers=...)`` uses this to score a whole power axis
+from one set of draws, and the best destination's draw from one uniform
+per trial does not decrease in N.  Estimates at neighbouring axis points
+are then correlated; each point's CI stays valid on its own, and each
+result is fixed by ``(samples, seed)``, the scenario and the axis value.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as sps
@@ -69,12 +77,12 @@ def _block_sizes(samples: int) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
-def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
+def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequence]) -> list:
     """Evaluate every block on its own substream, in a deterministic layout."""
     sizes = _block_sizes(mc.samples)
     seeds = np.random.SeedSequence(mc.seed).spawn(len(sizes))
 
-    def task(i: int) -> tuple:
+    def task(i: int) -> Sequence:
         rng = np.random.Generator(np.random.Philox(seeds[i]))
         return run_one(rng, sizes[i])
 
@@ -99,25 +107,51 @@ def _best_of_n_normal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return -sps.ndtri(-np.expm1(log_u / n))
 
 
-def mc_asc(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
+def _asc_estimate(mc: McConfig, partials: list) -> SecrecyResult | EvaluationError:
+    """Mean and CI from per-block ``(sum, sum of squares)``, or the error of
+    the first block that had a non-finite sample."""
+    for part in partials:
+        if isinstance(part, EvaluationError):
+            return part
+    total = math.fsum(p[0] for p in partials)
+    total_sq = math.fsum(p[1] for p in partials)
+    count = mc.samples
+    mean = total / count
+    var = max(total_sq - total * total / count, 0.0) / (count - 1)
+    half = _z_score(mc.confidence) * math.sqrt(var / count)
+    return SecrecyResult(value=mean, method="monte-carlo", ci_halfwidth=half)
+
+
+def mc_asc(
+    cfg: SystemConfig, mc: McConfig, *, powers: Sequence[float] | None = None
+) -> SecrecyResult | list[SecrecyResult | EvaluationError]:
     """Sample-mean estimate of the average secrecy capacity with a CI.
 
     Each trial scores ``max(rate_dest - rate_eav, 0)`` under the *realized*
     noise states (one Bernoulli draw per node class per trial), not the
     probability-weighted mixture; the mixture is what the analytical routes
     integrate, and both have the same expectation.
+
+    With ``powers``, a sequence of linear transmit powers, each block draws
+    its trials once and scores them at every power in turn (common random
+    numbers), and a list with one entry per power is returned: entry ``k``
+    is bit for bit the result of ``mc_asc(replace(cfg,
+    transmit_power=powers[k]), mc)``, or the :class:`EvaluationError` that
+    call raises.  ``cfg.transmit_power`` is then not used.
     """
+    axis = (cfg.transmit_power,) if powers is None else tuple(powers)
+    for power in axis:
+        replace(cfg, transmit_power=power)  # SystemConfig owns the power check
     topo = cfg.topology
     dest, eav = effective_links(topo)
     src = topo.source_link
     n = topo.n_destinations
-    power = cfg.transmit_power
-    a1b, a2b = (power * a for a in alpha_factors_tilde(cfg.dest_noise))
-    a1e, a2e = (power * a for a in alpha_factors_tilde(cfg.eav_noise))
+    at1b, at2b = alpha_factors_tilde(cfg.dest_noise)
+    at1e, at2e = alpha_factors_tilde(cfg.eav_noise)
     p_b = cfg.dest_noise.impulse_prob
     p_e = cfg.eav_noise.impulse_prob
 
-    def run_one(rng: np.random.Generator, m: int) -> tuple:
+    def run_one(rng: np.random.Generator, m: int) -> list:
         # Fixed draw order per block: shared gain, best destination (one
         # uniform per trial), eavesdropper, then the two noise states.  The
         # shared-gain normals are consumed even without a pinhole so paired
@@ -128,26 +162,43 @@ def mc_asc(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
         imp_b = rng.random(m) < p_b
         imp_e = rng.random(m) < p_e
 
-        ln_shared = src.s * z_a + src.m if topo.pinhole_present else 0.0
-        gain_bn = np.exp(ln_shared + dest.s * z_best + dest.m)
-        gain_ee = np.exp(ln_shared + eav.s * z_e + eav.m)
-        rate_b = np.log1p(np.where(imp_b, a2b, a1b) * gain_bn)
-        rate_e = np.log1p(np.where(imp_e, a2e, a1e) * gain_ee)
-        cs = np.maximum(rate_b - rate_e, 0.0) / LN2
-        if not np.all(np.isfinite(cs)):
-            raise EvaluationError(
-                f"non-finite secrecy sample at trial index {int(np.argmax(~np.isfinite(cs)))}"
-            )
-        return float(cs.sum()), float(np.dot(cs, cs))
+        # Overflow leaves a non-finite sample, which scoring reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ln_shared = src.s * z_a + src.m if topo.pinhole_present else 0.0
+            gain_bn = np.exp(ln_shared + dest.s * z_best + dest.m)
+            gain_ee = np.exp(ln_shared + eav.s * z_e + eav.m)
+            at_b = np.where(imp_b, at2b, at1b)
+            at_e = np.where(imp_e, at2e, at1e)
+            # One power at a time: a (powers x trials) array would not stay small.
+            return [_score(power, at_b, gain_bn, at_e, gain_ee) for power in axis]
 
     partials = _run_blocks(mc, run_one)
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    count = mc.samples
-    mean = total / count
-    var = max(total_sq - total * total / count, 0.0) / (count - 1)
-    half = _z_score(mc.confidence) * math.sqrt(var / count)
-    return SecrecyResult(value=mean, method="monte-carlo", ci_halfwidth=half)
+    results = [_asc_estimate(mc, [block[k] for block in partials]) for k in range(len(axis))]
+    if powers is not None:
+        return results
+    if isinstance(results[0], EvaluationError):
+        raise results[0]
+    return results[0]
+
+
+def _score(power, at_b, gain_b, at_e, gain_e) -> tuple | EvaluationError:
+    """Sum and sum of squares of one block's secrecy samples at one power,
+    or the error naming its first non-finite sample."""
+    # log1p(power * at * gain) per side, in place to spare the temporaries.
+    rate_b = np.multiply(power, at_b)
+    rate_b *= gain_b
+    np.log1p(rate_b, out=rate_b)
+    rate_e = np.multiply(power, at_e)
+    rate_e *= gain_e
+    np.log1p(rate_e, out=rate_e)
+    cs = np.subtract(rate_b, rate_e, out=rate_b)
+    np.maximum(cs, 0.0, out=cs)
+    cs /= LN2
+    if not np.all(np.isfinite(cs)):
+        return EvaluationError(
+            f"non-finite secrecy sample at trial index {int(np.argmax(~np.isfinite(cs)))}"
+        )
+    return float(cs.sum()), float(np.dot(cs, cs))
 
 
 def mc_poi(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:

@@ -4,10 +4,17 @@ A :class:`ScenarioParams` is the dB-domain description of one system (link
 shadowing parameters, noise statistics, destination count, pinhole flag);
 :class:`SweepSpec` runs one metric over one axis (transmit power in dB or
 the number of destinations) with a set of evaluation methods.  Sweeps are
-deterministic given the spec: points are evaluated one after another in axis
-order, Monte Carlo points derive their substreams from the master seed and
-the point index, and CSV output is byte-stable so it can be used in
-golden-file regressions.
+deterministic given the spec, and CSV output is byte-stable so it can be
+used in golden-file regressions.
+
+Every Monte Carlo point uses the spec's own seed, so the points of an axis
+share their draws (common random numbers): neighbouring points are
+correlated, each point's CI stays valid on its own, and a row depends only
+on the samples, the seed, the scenario and its axis value.  On a power axis
+the Monte Carlo ASC draws its trials once and scores every power, and the
+routes that do not depend on power (all POI methods and both asymptotes)
+run once for the whole axis; only the quadrature ASC runs point by point,
+as every route does on a destination-count axis.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,53 +239,86 @@ _EVALUATORS = {
 }
 
 
-def _point_seed(seed: int, index: int) -> int:
-    """Substream seed for one sweep point, derived counter-style."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
-
-
-def _evaluate_point(spec: SweepSpec, index: int, axis_value, method: str) -> SecrecyResult:
+def _point_config(spec: SweepSpec, axis_value) -> SystemConfig:
     if spec.axis == "transmit_power_db":
-        cfg = spec.base.system_config(
+        return spec.base.system_config(
             power_db=float(axis_value), quad_order=spec.quadrature_order
         )
-    else:
-        cfg = spec.base.system_config(
-            n_destinations=axis_value, quad_order=spec.quadrature_order
-        )
-    if method == "monte-carlo":
-        # One substream per point; its blocks come out the same for any
-        # worker count.
-        mc = replace(spec.mc, seed=_point_seed(spec.mc.seed, index))
-        return mc_asc(cfg, mc) if spec.metric == "asc" else mc_poi(cfg, mc)
-    return _EVALUATORS[(spec.metric, method)](cfg)
+    return spec.base.system_config(
+        n_destinations=axis_value, quad_order=spec.quadrature_order
+    )
+
+
+def _evaluate(spec: SweepSpec, method: str, cfg: SystemConfig) -> SecrecyResult | PlcsecError:
+    try:
+        if method == "monte-carlo":
+            return mc_asc(cfg, spec.mc) if spec.metric == "asc" else mc_poi(cfg, spec.mc)
+        return _EVALUATORS[(spec.metric, method)](cfg)
+    except PlcsecError as exc:
+        return exc
+
+
+def _axis_wide(spec: SweepSpec, method: str) -> bool:
+    """Whether one call serves the whole axis: on a power axis, every route
+    but the quadrature ASC."""
+    return spec.axis == "transmit_power_db" and (spec.metric, method) != ("asc", "quadrature")
+
+
+def _axis_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list) -> list:
+    """One result, or the error raised in its place, per power."""
+    if (spec.metric, method) == ("asc", "monte-carlo"):
+        return mc_asc(cfg, spec.mc, powers=powers)
+    # Power-free by construction: one evaluation serves every power.
+    return [_evaluate(spec, method, cfg)] * len(powers)
+
+
+def _cell(spec: SweepSpec, axis_value, method: str, result) -> SweepRow | SweepError:
+    if isinstance(result, PlcsecError):
+        return SweepError(axis_value=axis_value, method=method, message=str(result))
+    return SweepRow(
+        axis_value=axis_value,
+        method=method,
+        metric=spec.metric,
+        value=result.value,
+        ci_halfwidth=result.ci_halfwidth,
+    )
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    Rows come in axis order, methods in spec order within a point.  A failing
-    point becomes a :class:`SweepError` and the sweep continues.
+    Point-by-point routes run as each point's configuration is built; the
+    others run once for the whole axis.  Rows come in axis order, methods in
+    spec order within a point.  A failing point becomes a
+    :class:`SweepError` and the sweep continues.
     """
-    rows, errors = [], []
-    for index, axis_value in enumerate(spec.values):
+    cells = {method: [None] * len(spec.values) for method in spec.methods}
+    # Only the first configuration is kept: holding one per point would
+    # wake the garbage collector on long axes.
+    first, ok, powers = None, [], []
+    for i, axis_value in enumerate(spec.values):
+        try:
+            cfg = _point_config(spec, axis_value)
+        except PlcsecError as exc:
+            for method in spec.methods:
+                cells[method][i] = _cell(spec, axis_value, method, exc)
+            continue
+        if first is None:
+            first = cfg
+        ok.append(i)
+        powers.append(cfg.transmit_power)
         for method in spec.methods:
-            try:
-                result = _evaluate_point(spec, index, axis_value, method)
-            except PlcsecError as exc:
-                errors.append(
-                    SweepError(axis_value=axis_value, method=method, message=str(exc))
-                )
-            else:
-                rows.append(
-                    SweepRow(
-                        axis_value=axis_value,
-                        method=method,
-                        metric=spec.metric,
-                        value=result.value,
-                        ci_halfwidth=result.ci_halfwidth,
-                    )
-                )
+            if not _axis_wide(spec, method):
+                cells[method][i] = _cell(spec, axis_value, method, _evaluate(spec, method, cfg))
+    for method in spec.methods:
+        if first is not None and _axis_wide(spec, method):
+            for i, result in zip(ok, _axis_results(spec, method, first, powers)):
+                cells[method][i] = _cell(spec, spec.values[i], method, result)
+    rows, errors = [], []
+    for i in range(len(spec.values)):
+        for method in spec.methods:
+            cell = cells[method][i]
+            (errors if isinstance(cell, SweepError) else rows).append(cell)
     return rows, errors
 
 

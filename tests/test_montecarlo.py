@@ -4,6 +4,7 @@ cross-agreement with the analytical routes."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import stats
 import plcsec.montecarlo as mc_mod
 from plcsec import (
     ConfigError,
+    EvaluationError,
     LinkParams,
     McConfig,
     NoiseParams,
@@ -134,6 +136,27 @@ class TestMcAsc:
             for w in (1, 1, 3, 7)
         ]
         assert len({(r.value, r.ci_halfwidth) for r in runs}) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_power_axis_matches_calls_one_power_at_a_time(self, workers):
+        # 200000 samples span 4 blocks; the rates overflow at 1e300 alone.
+        cfg = make_config(n=3, m_b=50.0, m_e=50.0)
+        mc = McConfig(samples=200_000, seed=77, workers=workers)
+        powers = (0.1, 100.0, 1e6, 1e300, 2.5)
+        axis = mc_asc(cfg, mc, powers=powers)
+        assert len(axis) == len(powers)
+        for power, got in zip(powers, axis):
+            one = replace(cfg, transmit_power=power)
+            if power == 1e300:
+                with pytest.raises(EvaluationError) as exc:
+                    mc_asc(one, mc)
+                assert isinstance(got, EvaluationError) and str(got) == str(exc.value)
+            else:
+                assert got == mc_asc(one, mc)
+
+    def test_power_axis_rejects_bad_powers(self):
+        with pytest.raises(ConfigError, match="transmit_power"):
+            mc_asc(make_config(), McConfig(samples=10_000, seed=1), powers=(1.0, 0.0))
 
     def test_different_seeds_differ(self):
         cfg = make_config(n=2)

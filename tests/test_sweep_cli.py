@@ -1,13 +1,16 @@
 """Sweep machinery, config files, presets and the command-line interface."""
 
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plcsec
 import plcsec.sweep as sweep_mod
 from plcsec import (
     ConfigError,
@@ -168,15 +171,59 @@ class TestRunSweep:
         seen = []
         real = sweep_mod.mc_asc
 
-        def spy(cfg, mc):
+        def spy(cfg, mc, **kwargs):
             seen.append(mc.workers)
-            return real(cfg, mc)
+            return real(cfg, mc, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "mc_asc", spy)
         spec = small_spec(values=(10.0,), methods=("monte-carlo",),
                           mc=replace(TINY_MC, workers=2))
         run_sweep(spec)
         assert seen == [2]
+
+    def test_power_free_routes_run_once_per_power_axis(self, monkeypatch):
+        calls = {}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return spy
+
+        for key, fn in list(sweep_mod._EVALUATORS.items()):
+            monkeypatch.setitem(sweep_mod._EVALUATORS, key, counting(key, fn))
+        for name in ("mc_asc", "mc_poi"):
+            monkeypatch.setattr(sweep_mod, name, counting(name, getattr(sweep_mod, name)))
+        values = (0.0, 10.0, 20.0)
+        run_sweep(small_spec(values=values, methods=sweep_mod.ASC_METHODS))
+        run_sweep(small_spec(metric="poi", values=values, methods=sweep_mod.POI_METHODS))
+        assert calls == {
+            ("asc", "quadrature"): 3,
+            ("asc", "asymptotic"): 1,
+            ("asc", "asymptotic-large-n"): 1,
+            "mc_asc": 1,
+            ("poi", "quadrature"): 1,
+            ("poi", "closed-form-poi"): 1,
+            "mc_poi": 1,
+        }
+
+    def test_monte_carlo_poi_is_flat_along_power(self):
+        spec = small_spec(metric="poi", values=(-10.0, 20.0, 60.0), methods=("monte-carlo",))
+        rows, errors = run_sweep(spec)
+        assert errors == []
+        assert len({(r.value, r.ci_halfwidth) for r in rows}) == 1
+
+    def test_monte_carlo_poi_does_not_increase_in_destinations(self):
+        # One uniform per trial, inverted through Phi^N, couples the points.
+        spec = small_spec(
+            metric="poi", axis="n_destinations", values=tuple(range(1, 21)),
+            methods=("monte-carlo",), base=ScenarioParams(m_b_db=-30.0),
+            mc=McConfig(samples=20_000, seed=4),
+        )
+        rows, errors = run_sweep(spec)
+        assert errors == []
+        values = [r.value for r in rows]
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_csv_is_identical_for_any_worker_count(self):
         # Several 65536-trial blocks per point, so two workers share them.
@@ -433,6 +480,35 @@ class TestCli:
         assert code == 1
         assert captured.out.count("\n") == 2  # header + the 20 dB row
         assert "4000" in captured.err and "ERROR" in captured.err
+
+    def test_monte_carlo_error_stays_at_its_point(self, tmp_path):
+        # At 3000 dB the rates overflow: quadrature and MC fail there alone,
+        # and the 20 dB MC row is the one a sweep of 20 dB alone gives.
+        def sweep(values):
+            cfg = tmp_path / "huge.yaml"
+            cfg.write_text(
+                f"preset: fig3\nvariant: n10-ph\nvalues: {values}\n"
+                "methods: [quadrature, monte-carlo]\n"
+                "monte_carlo: {samples: 10000, seed: 1}\n"
+                "system:\n  destination: {mean_db: 100.0}\n"
+                "  eavesdropper: {mean_db: 100.0}\n"
+            )
+            src = str(Path(plcsec.__file__).parents[1])
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            return subprocess.run(
+                [sys.executable, "-m", "plcsec.cli", "sweep", str(cfg)],
+                capture_output=True, text=True, env=env,
+            )
+
+        both, alone = sweep("[20, 3000]"), sweep("[20]")
+        assert both.returncode == 1 and alone.returncode == 0, both.stderr
+        errors = both.stderr.splitlines()
+        assert len(errors) == 2
+        assert all("ERROR axis=3000.0" in line for line in errors)
+        assert "non-finite secrecy sample at trial index" in errors[1]
+        assert "RuntimeWarning" not in both.stderr
+        assert both.stdout == alone.stdout
 
     def test_preset_run_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
