@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,11 +24,20 @@ from .presets import available_presets, get_preset
 from .sweep import SweepError, SweepSpec, rows_to_csv, run_sweep
 
 
-def _emit(text: str, out: Path | None) -> None:
+@contextmanager
+def _output(out: Path | None):
+    """Where the CSV goes: stdout, or ``out``, opened before any sweep runs so
+    that a path that cannot be written fails at once."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+        yield sys.stdout
+        return
+    # The sweeps run inside but do no file I/O: an OSError is the file's.
+    try:
+        with out.open("w") as fh:
+            yield fh
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot write output file {str(out)!r}: {reason}") from None
 
 
 def _report_errors(errors: list[SweepError], label: str = "") -> None:
@@ -41,8 +51,9 @@ def _report_errors(errors: list[SweepError], label: str = "") -> None:
 
 def _cmd_sweep(args) -> int:
     spec = load_config(args.config)
-    rows, errors = run_sweep(spec)
-    _emit(rows_to_csv(rows), args.out)
+    with _output(args.out) as fh:
+        rows, errors = run_sweep(spec)
+        fh.write(rows_to_csv(rows))
     _report_errors(errors, spec.label)
     return 1 if errors else 0
 
@@ -61,12 +72,13 @@ def _cmd_preset(args) -> int:
     specs = [_apply_overrides(s, args) for s in get_preset(args.name)]
     chunks = []
     failed = False
-    for spec in specs:
-        rows, errors = run_sweep(spec)
-        chunks.append(f"# preset: {args.name} variant: {spec.label}\n" + rows_to_csv(rows))
-        _report_errors(errors, spec.label)
-        failed = failed or bool(errors)
-    _emit("\n".join(chunks), args.out)
+    with _output(args.out) as fh:
+        for spec in specs:
+            rows, errors = run_sweep(spec)
+            chunks.append(f"# preset: {args.name} variant: {spec.label}\n" + rows_to_csv(rows))
+            _report_errors(errors, spec.label)
+            failed = failed or bool(errors)
+        fh.write("\n".join(chunks))
     return 1 if failed else 0
 
 
@@ -112,9 +124,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -200,7 +200,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def loads_config(text: str) -> SweepSpec:
     """Parse and validate config text (see :func:`load_config`)."""
     try:
-        data = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it: same data and marks.
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

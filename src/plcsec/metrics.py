@@ -34,8 +34,8 @@ N, and the integrals' error estimate is reported as ``integration_error``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -114,7 +114,9 @@ def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
 # An overflowing gain or rate leaves a non-finite term, which raises the
 # EvaluationError below; numpy's warning would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
+def asc_quadrature(
+    cfg: SystemConfig, *, powers: Sequence[float] | None = None
+) -> SecrecyResult | list[SecrecyResult | EvaluationError]:
     """Average secrecy capacity by nested standard-normal quadrature.
 
     The outer expectation runs over the shared gain (collapsed to the single
@@ -125,11 +127,24 @@ def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
     analytical routes use; transmit power enters only the two rates.  The
     raw (unclamped) sum is returned: a slightly negative value is a
     quadrature-accuracy diagnostic, not a property of the metric.
+
+    Everything but the rates is power-free and is built once per call.  The
+    four noise events share two SNR factors per side, so each power forms
+    one rate matrix per noise state, two per side, and each event reads
+    the matrices of its states.
+
+    With ``powers``, a sequence of linear transmit powers, a list with one
+    entry per power is returned: entry ``k`` is bit for bit the result of
+    ``asc_quadrature(replace(cfg, transmit_power=powers[k]))``, or the
+    :class:`EvaluationError` that call raises.  ``cfg.transmit_power`` is
+    then not used.
     """
+    axis = (cfg.transmit_power,) if powers is None else tuple(powers)
+    for power in axis:
+        replace(cfg, transmit_power=power)  # SystemConfig owns the power check
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n = topo.n_destinations
-    p = cfg.transmit_power
     phi_e = eav.s / dest.s
     rule = cfg.quadrature
     t = rule.nodes
@@ -148,30 +163,54 @@ def asc_quadrature(cfg: SystemConfig) -> SecrecyResult:
     # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
     sel = n * np.exp((n - 1) * sps.log_ndtr(t))
 
-    total = 0.0
-    diagnostics: dict[str, float] = {}
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
+    events = noise_events(cfg.dest_noise, cfg.eav_noise)
+    terms = []
+    for ev in events:
         lam = _event_offset(ev, dest, eav)
         # Destination side: clamp shows up as the eavesdropper CDF.
         base_b = w * sel * sps.ndtr((t - lam) / phi_e)
         # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
         base_e = w * (-np.expm1(n * sps.log_ndtr(phi_e * t + lam)))
+        terms.append((ev, base_b, base_e))
+    alpha_b = {ev.dest_state: ev.alpha_b for ev in events}
+    alpha_e = {ev.eav_state: ev.alpha_e for ev in events}
+    # One power at a time, into reused buffers: a (powers x nodes x nodes)
+    # array would not stay small.
+    rate_b = {state: np.empty((x.size, t.size)) for state in alpha_b}
+    rate_e = {state: np.empty((x.size, t.size)) for state in alpha_e}
 
-        rate_b = np.log1p(p * ev.alpha_b * x[:, None] * y[None, :]) / LN2
-        rate_e = np.log1p(p * ev.alpha_e * x[:, None] * z[None, :]) / LN2
-        inner = rate_b @ base_b - rate_e @ base_e
-        if not np.all(np.isfinite(inner)):
-            bad = int(np.argmax(~np.isfinite(inner)))
-            raise EvaluationError(
-                "non-finite quadrature term in event "
-                f"(dest_state={ev.dest_state}, eav_state={ev.eav_state}) "
-                f"at outer node index {bad}"
-            )
-        total += ev.probability * float(wx @ inner)
+    def at_power(p: float) -> SecrecyResult | EvaluationError:
+        for state, alpha in alpha_b.items():
+            _rate_matrix(p * alpha, x, y, rate_b[state])
+        for state, alpha in alpha_e.items():
+            _rate_matrix(p * alpha, x, z, rate_e[state])
+        total = 0.0
+        for ev, base_b, base_e in terms:
+            inner = rate_b[ev.dest_state] @ base_b - rate_e[ev.eav_state] @ base_e
+            if not np.all(np.isfinite(inner)):
+                bad = int(np.argmax(~np.isfinite(inner)))
+                return EvaluationError(
+                    "non-finite quadrature term in event "
+                    f"(dest_state={ev.dest_state}, eav_state={ev.eav_state}) "
+                    f"at outer node index {bad}"
+                )
+            total += ev.probability * float(wx @ inner)
+        diagnostics = {"negative_value": total} if total < 0.0 else {}
+        return SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
 
-    if total < 0.0:
-        diagnostics["negative_value"] = total
-    return SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
+    results = [at_power(p) for p in axis]
+    if powers is not None:
+        return results
+    if isinstance(results[0], EvaluationError):
+        raise results[0]
+    return results[0]
+
+
+def _rate_matrix(snr: float, x: np.ndarray, gain: np.ndarray, out: np.ndarray) -> None:
+    """``log2(1 + snr * x_i * gain_j)`` into ``out``, with no temporary matrix."""
+    np.multiply((snr * x)[:, None], gain[None, :], out=out)
+    np.log1p(out, out=out)
+    out /= LN2
 
 
 def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:

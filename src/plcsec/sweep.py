@@ -11,10 +11,12 @@ Every Monte Carlo point uses the spec's own seed, so the points of an axis
 share their draws (common random numbers): neighbouring points are
 correlated, each point's CI stays valid on its own, and a row depends only
 on the samples, the seed, the scenario and its axis value.  On a power axis
-the Monte Carlo ASC draws its trials once and scores every power, and the
-routes that do not depend on power (all POI methods and both asymptotes)
-run once for the whole axis; only the quadrature ASC runs point by point,
-as every route does on a destination-count axis.
+every route runs once for the whole axis: the Monte Carlo ASC draws its
+trials once and scores every power, the quadrature ASC builds its
+power-free vectors once and forms only the rates per power, and the routes
+that do not depend on power (all POI methods and both asymptotes) serve
+every power with one value.  On a destination-count axis every route runs
+point by point.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -258,16 +260,12 @@ def _evaluate(spec: SweepSpec, method: str, cfg: SystemConfig) -> SecrecyResult 
         return exc
 
 
-def _axis_wide(spec: SweepSpec, method: str) -> bool:
-    """Whether one call serves the whole axis: on a power axis, every route
-    but the quadrature ASC."""
-    return spec.axis == "transmit_power_db" and (spec.metric, method) != ("asc", "quadrature")
-
-
 def _axis_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list) -> list:
     """One result, or the error raised in its place, per power."""
     if (spec.metric, method) == ("asc", "monte-carlo"):
         return mc_asc(cfg, spec.mc, powers=powers)
+    if (spec.metric, method) == ("asc", "quadrature"):
+        return _EVALUATORS[("asc", "quadrature")](cfg, powers=powers)
     # Power-free by construction: one evaluation serves every power.
     return [_evaluate(spec, method, cfg)] * len(powers)
 
@@ -287,11 +285,13 @@ def _cell(spec: SweepSpec, axis_value, method: str, result) -> SweepRow | SweepE
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    Point-by-point routes run as each point's configuration is built; the
-    others run once for the whole axis.  Rows come in axis order, methods in
-    spec order within a point.  A failing point becomes a
+    On a destination-count axis every route runs as each point's
+    configuration is built; on a power axis each runs once for the whole
+    axis, after the configurations are built.  Rows come in axis order,
+    methods in spec order within a point.  A failing point becomes a
     :class:`SweepError` and the sweep continues.
     """
+    axis_wide = spec.axis == "transmit_power_db"
     cells = {method: [None] * len(spec.values) for method in spec.methods}
     # Only the first configuration is kept: holding one per point would
     # wake the garbage collector on long axes.
@@ -307,11 +307,11 @@ def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
             first = cfg
         ok.append(i)
         powers.append(cfg.transmit_power)
-        for method in spec.methods:
-            if not _axis_wide(spec, method):
+        if not axis_wide:
+            for method in spec.methods:
                 cells[method][i] = _cell(spec, axis_value, method, _evaluate(spec, method, cfg))
-    for method in spec.methods:
-        if first is not None and _axis_wide(spec, method):
+    if first is not None and axis_wide:
+        for method in spec.methods:
             for i, result in zip(ok, _axis_results(spec, method, first, powers)):
                 cells[method][i] = _cell(spec, spec.values[i], method, result)
     rows, errors = [], []

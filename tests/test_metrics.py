@@ -12,6 +12,7 @@ Every analytical route is checked against an independent oracle:
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ import pytest
 from scipy import integrate
 
 from plcsec import (
+    ConfigError,
     EvaluationError,
     LinkParams,
     McConfig,
@@ -217,6 +219,42 @@ class TestAscQuadrature:
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError, match="dest_state"):
                 asc_quadrature(cfg)
+
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [64, 160])
+    def test_power_axis_matches_calls_one_power_at_a_time(self, order, pinhole):
+        # The rates overflow at 1e300 alone.
+        cfg = make_config(order=order, pinhole=pinhole, m_b=20.0, m_e=15.0)
+        powers = (0.1, 100.0, 1e6, 1e300, 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            axis = asc_quadrature(cfg, powers=powers)
+            assert len(axis) == len(powers)
+            for power, got in zip(powers, axis):
+                one = replace(cfg, transmit_power=power)
+                if power == 1e300:
+                    with pytest.raises(EvaluationError) as exc:
+                        asc_quadrature(one)
+                    assert isinstance(got, EvaluationError) and str(got) == str(exc.value)
+                else:
+                    assert got == asc_quadrature(one)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_power_axis_rejects_bad_powers(self, bad):
+        with pytest.raises(ConfigError, match="transmit_power"):
+            asc_quadrature(make_config(), powers=(1.0, bad))
+
+    def test_power_axis_peak_memory_stays_small(self):
+        # One power at a time: a (powers x nodes x nodes) array would be 57 MB.
+        cfg = make_config(order=160)
+        powers = [10.0 ** (-1.0 + 0.025 * i) for i in range(281)]
+        tracemalloc.start()
+        try:
+            asc_quadrature(cfg, powers=powers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def asymptotic_event_oracle(at_b, at_e, m_b, s_b, m_e, s_e, n):

@@ -198,7 +198,7 @@ class TestRunSweep:
         run_sweep(small_spec(values=values, methods=sweep_mod.ASC_METHODS))
         run_sweep(small_spec(metric="poi", values=values, methods=sweep_mod.POI_METHODS))
         assert calls == {
-            ("asc", "quadrature"): 3,
+            ("asc", "quadrature"): 1,
             ("asc", "asymptotic"): 1,
             ("asc", "asymptotic-large-n"): 1,
             "mc_asc": 1,
@@ -303,6 +303,22 @@ class TestConfigFiles:
         path.write_text("")
         with pytest.raises(ConfigError, match="metric, axis, values, methods, system"):
             load_config(path)
+
+    def test_yaml_loaders_give_the_same_specs_and_marks(self, monkeypatch):
+        import yaml
+
+        specs = [spec for name in available_presets() for spec in get_preset(name)]
+        # A long power axis, like the benchmark's configs.
+        specs.append(small_spec(values=tuple(-10.0 + 0.25 * i for i in range(281))))
+
+        def load_all():
+            with pytest.raises(ConfigError, match=r"parse error at line 2, column 13: "):
+                loads_config("metric: asc\n  bad indent: [\n")
+            return [loads_config(dump_config(spec)) for spec in specs]
+
+        assert load_all() == specs  # libyaml's parser when PyYAML has it
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_all() == specs
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -439,30 +455,41 @@ class TestCli:
         assert "config error" in err
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, out, message",
         [
-            (None, "Is a directory"),
-            (b"metric: asc\n# \xff\n", "can't decode byte 0xff"),
-            (b"preset: [fig3]\n", "unknown preset ['fig3']; available: fig3"),
-            (b"preset: fig3\nvariant: n10-ph\nvalues: [10, .nan, 5]\n", "finite numbers"),
-            (b"preset: fig3\nvariant: n10-ph\nvalues: [.inf]\n", "finite numbers"),
+            (None, None, "Is a directory"),
+            (b"metric: asc\n# \xff\n", None, "can't decode byte 0xff"),
+            (b"preset: [fig3]\n", None, "unknown preset ['fig3']; available: fig3"),
+            (b"preset: fig3\nvariant: n10-ph\nvalues: [10, .nan, 5]\n", None, "finite numbers"),
+            (b"preset: fig3\nvariant: n10-ph\nvalues: [.inf]\n", None, "finite numbers"),
             (
                 b"preset: fig3\nvariant: n10-ph\nvalues: [0.0]\nmethods: [monte-carlo]\n"
                 b"monte_carlo: {samples: 10000, seed: -1}\n",
+                None,
                 "monte_carlo: seed",
             ),
+            (b"preset: fig3\nvariant: n10-ph\n", ".", "Is a directory"),
+            (b"preset: fig3\nvariant: n10-ph\n", "missing/out.csv", "No such file or directory"),
         ],
-        ids=["directory", "non-utf8", "list-preset", "nan-power", "inf-power", "negative-seed"],
+        ids=[
+            "directory", "non-utf8", "list-preset", "nan-power", "inf-power", "negative-seed",
+            "out-directory", "out-missing-parent",
+        ],
     )
-    def test_bad_config_exits_two(self, tmp_path, capsys, content, message):
+    def test_bad_config_exits_two(self, tmp_path, capsys, content, out, message):
         # None stands for a directory where the config file should be.
         path = tmp_path / "bad.yaml"
         if content is None:
             path.mkdir()
         else:
             path.write_bytes(content)
-        for command in ("validate", "sweep"):
-            assert main([command, str(path)]) == 2
+        commands = [["validate", str(path)], ["sweep", str(path)]]
+        if out is not None:
+            target = str(tmp_path / out)
+            message = f"cannot write output file {target!r}: {message}"
+            commands = [["sweep", str(path), "--out", target], ["preset", "fig3", "--out", target]]
+        for command in commands:
+            assert main(command) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and message in err
             assert "Traceback" not in err
