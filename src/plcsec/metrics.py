@@ -39,7 +39,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special as sps
 
 from .channel import LinkParams, PinholeTopology, effective_links
 from .errors import ConfigError, EvaluationError
@@ -52,6 +51,8 @@ from .special_math import (
     QuadratureRule,
     gauss_hermite_rule,
     gaussian_segment_integrals,
+    normal_cdf,
+    normal_log_cdf,
 )
 
 __all__ = [
@@ -161,17 +162,16 @@ def asc_quadrature(
     y = np.exp(dest.s * t + dest.m)
     z = np.exp(eav.s * t + eav.m)
     # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
-    sel = n * np.exp((n - 1) * sps.log_ndtr(t))
+    sel = n * np.exp((n - 1) * normal_log_cdf(t))
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
-    terms = []
-    for ev in events:
-        lam = _event_offset(ev, dest, eav)
-        # Destination side: clamp shows up as the eavesdropper CDF.
-        base_b = w * sel * sps.ndtr((t - lam) / phi_e)
-        # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
-        base_e = w * (-np.expm1(n * sps.log_ndtr(phi_e * t + lam)))
-        terms.append((ev, base_b, base_e))
+    # One row per event, so each CDF below is one call over every event.
+    lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
+    # Destination side: clamp shows up as the eavesdropper CDF.
+    base_b = w * sel * normal_cdf((t - lam) / phi_e)
+    # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
+    base_e = w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
+    terms = list(zip(events, base_b, base_e))
     alpha_b = {ev.dest_state: ev.alpha_b for ev in events}
     alpha_e = {ev.eav_state: ev.alpha_e for ev in events}
     # One power at a time, into reused buffers: a (powers x nodes x nodes)
@@ -227,10 +227,10 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
     t = cfg.quadrature.nodes
     w = cfg.quadrature.weights
 
+    events = noise_events(cfg.dest_noise, cfg.eav_noise)
+    lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
     total = 0.0
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
-        lam = _event_offset(ev, dest, eav)
-        vals = np.exp(n * sps.log_ndtr(phi_e * t + lam))
+    for ev, vals in zip(events, np.exp(n * normal_log_cdf(phi_e * t + lam))):
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise EvaluationError(

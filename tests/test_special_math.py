@@ -1,16 +1,19 @@
-"""Tail function, quadrature rule and segment-integral tests.
+"""Normal CDF and quantile, tail function, quadrature rule and segment-integral tests.
 
-Expected values are either analytic or frozen from an independent oracle
-(high-precision erfc, adaptive quadrature); the oracle never shares code
-with the path under test.
+Expected values are either analytic, frozen from an independent oracle
+(high-precision erfc, adaptive quadrature) or computed by one (mpmath,
+scipy.special); the oracle never shares code with the path under test.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
+from scipy import special as sps
 
 from plcsec import (
     DEFAULT_Q_APPROX,
@@ -22,6 +25,7 @@ from plcsec import (
     q_approx,
     q_function,
 )
+from plcsec.special_math import normal_cdf, normal_log_cdf, normal_quantile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -57,6 +61,137 @@ class TestQFunction:
         # strict monotonicity on the range where steps are representable.
         t = np.linspace(-6.0, 6.0, 1201)
         assert np.all(np.diff(q_function(t)) < 0.0)
+
+    def test_scalar_path_matches_array_path(self):
+        t = np.concatenate([np.linspace(-39.0, 39.0, 781), [-20.0, 20.0, 20.5]])
+        assert [q_function(float(v)) for v in t] == q_function(t).tolist()
+
+    def test_underflow_points(self):
+        # Q is subnormal from t ~ 37.5 and exactly 0 from t ~ 38.5 on.
+        assert q_function(37.4) > 2.2250738585072014e-308 > q_function(37.6) > 0.0
+        assert q_function(38.4) > 0.0
+        assert q_function(38.5) == 0.0
+        assert q_function(40.0) == 0.0
+
+
+# Grids over which the normal CDF, log-CDF and quantile meet their stated
+# accuracy.  The oracle is mpmath at 40 digits; scipy.special is a second,
+# independent reference.
+CDF_GRID = np.concatenate(
+    [
+        [-1000.0, -500.0, -100.0, -60.0, -45.0, -33.4],
+        np.linspace(-40.0, 38.0, 1561),
+        [-20.0 - 2**-48, -20.0 + 2**-48, 20.0 - 2**-48, 20.0 + 2**-48],
+    ]
+)
+QUANTILE_GRID = np.concatenate(
+    [
+        [1e-300, 1e-250, 1e-200, 1e-100],
+        10.0 ** -np.linspace(60.0, 1.0, 119),
+        np.linspace(0.01, 0.49, 97),
+        np.linspace(0.51, 0.99, 97),
+        1.0 - 10.0 ** -np.linspace(1.0, 15.5, 59),
+        [0.075, 0.925, 0.5 - 2**-30, 0.5 + 2**-30, 1.0 - 2.0**-53],
+    ]
+)
+
+
+def mp_cdf(x):
+    with mpmath.workdps(40):
+        return mpmath.ncdf(mpmath.mpf(float(x)))
+
+
+def mp_log_cdf(x):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        # log(ncdf(x)) would lose -Q(x) to the 40-digit rounding of ncdf near 1.
+        return mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
+
+
+def mp_quantile(p):
+    """Root of Phi(x) = p, solved on the side where the tail is p itself."""
+    lo = min(p, 1.0 - p)  # exact in double precision
+    with mpmath.workdps(40):
+        target = mpmath.log(mpmath.mpf(lo))
+        x0 = -mpmath.sqrt(-2 * target)
+        x = mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(x)) - target, x0)
+    return x if p < 0.5 else -x
+
+
+def worst_relative_error(got, refs):
+    worst = 0.0
+    for value, ref in zip(got, refs):
+        worst = max(worst, float(abs((value - ref) / ref)))
+    return worst
+
+
+class TestNormalCdf:
+    def test_cdf_matches_mpmath(self):
+        refs = [mp_cdf(x) for x in CDF_GRID]
+        keep = [abs(r) >= 1e-300 for r in refs]
+        got = normal_cdf(CDF_GRID)[keep]
+        assert worst_relative_error(got, [r for r, k in zip(refs, keep) if k]) <= 1e-13
+
+    def test_log_cdf_matches_mpmath(self):
+        refs = [mp_log_cdf(x) for x in CDF_GRID]
+        keep = [abs(r) >= 1e-300 for r in refs]
+        got = normal_log_cdf(CDF_GRID)[keep]
+        assert worst_relative_error(got, [r for r, k in zip(refs, keep) if k]) <= 1e-13
+
+    def test_matches_scipy(self):
+        # scipy rounds x / sqrt(2) before erfc, which leaves its ndtr up to
+        # 2e-13 off the mpmath values near |x| = 36 on this grid; the bound
+        # adds that to the 1e-13 asserted above.
+        cdf = sps.ndtr(CDF_GRID)
+        keep = cdf >= 1e-300
+        assert worst_relative_error(normal_cdf(CDF_GRID)[keep], cdf[keep]) <= 3e-13
+        log_cdf = sps.log_ndtr(CDF_GRID)
+        keep = np.abs(log_cdf) >= 1e-300
+        assert worst_relative_error(normal_log_cdf(CDF_GRID)[keep], log_cdf[keep]) <= 3e-13
+
+    def test_log_cdf_keeps_the_upper_tail(self):
+        # Phi(8) rounds to 1 - 6e-16; its log must be -Q(8), not 0.
+        value = float(normal_log_cdf(8.0))
+        assert value == pytest.approx(-q_function(8.0), rel=1e-13)
+        assert value == pytest.approx(float(mp_log_cdf(8.0)), rel=1e-13)
+
+    def test_log_cdf_stays_finite_past_the_cdf_underflow(self):
+        x = np.array([-38.6, -40.0, -1000.0, -1e100])
+        assert np.all(normal_cdf(x[:2]) == 0.0)
+        assert np.all(np.isfinite(normal_log_cdf(x)))
+
+    def test_shape_and_special_values(self):
+        x = np.array([[-np.inf, 0.0], [np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = normal_cdf(x)
+            log_cdf = normal_log_cdf(x)
+        assert cdf.shape == log_cdf.shape == (2, 2)
+        assert cdf[0].tolist() == [0.0, 0.5] and cdf[1, 0] == 1.0
+        assert log_cdf[0, 0] == -np.inf and log_cdf[1, 0] == 0.0
+        assert log_cdf[0, 1] == math.log(0.5)
+        assert np.isnan(cdf[1, 1]) and np.isnan(log_cdf[1, 1])
+
+
+class TestNormalQuantile:
+    def test_matches_mpmath(self):
+        got = normal_quantile(QUANTILE_GRID)
+        assert worst_relative_error(got, [mp_quantile(p) for p in QUANTILE_GRID]) <= 2e-15
+
+    def test_matches_scipy(self):
+        got = normal_quantile(QUANTILE_GRID)
+        assert worst_relative_error(got, sps.ndtri(QUANTILE_GRID)) <= 4e-15
+
+    def test_endpoints_are_infinite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                z = normal_quantile(np.array([0.0, 1.0, 0.5]))
+        assert z.tolist() == [-np.inf, np.inf, 0.0]
+
+    def test_shape(self):
+        assert normal_quantile(0.975).shape == ()
+        assert normal_quantile(np.full((2, 3), 0.975)).shape == (2, 3)
 
 
 class TestQApprox:

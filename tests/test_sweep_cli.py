@@ -550,19 +550,47 @@ class TestCli:
         assert text.count("\n") >= 2 * (36 * 3 + 2)
 
     def test_import_leaves_out_mpmath_and_scipy_integrate(self):
-        # Both would add import time and resident memory to every run.
+        # Each would add import time and resident memory to every run; so
+        # would any other part of scipy, which is a test-only dependency.
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import plcsec, sys; "
-                "print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)))",
+                "import plcsec, plcsec.cli, sys; "
+                "print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)), "
+                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] []"
+
+    def test_preset_runs_with_scipy_unimportable(self, tmp_path):
+        # The blocked run must write the bytes of an ordinary run.
+        block = (
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+        )
+        src = str(Path(plcsec.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(prelude, out):
+            code = "import sys\n" + prelude + "from plcsec.cli import main\nsys.exit(main())\n"
+            args = ["preset", "fig8", "--samples", "10000", "--seed", "4", "--out", str(out)]
+            return subprocess.run(
+                [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+            )
+
+        blocked = run(block, tmp_path / "blocked.csv")
+        plain = run("", tmp_path / "plain.csv")
+        assert blocked.returncode == 0, blocked.stderr
+        assert plain.returncode == 0, plain.stderr
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_entry_point_help(self):
         proc = subprocess.run(
