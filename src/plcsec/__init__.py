@@ -39,7 +39,6 @@ from .special_math import (
     QuadratureRule,
     gauss_hermite_rule,
     gaussian_segment_integrals,
-    q_approx,
     q_function,
 )
 from .sweep import (
@@ -90,7 +89,6 @@ __all__ = [
     "noise_events",
     "poi_closed_form",
     "poi_quadrature",
-    "q_approx",
     "q_function",
     "rows_to_csv",
     "run_sweep",

@@ -1,6 +1,6 @@
 """Gaussian tail machinery shared by the analytical metrics and Monte Carlo.
 
-Five building blocks live here:
+Four building blocks live here:
 
 * ``normal_cdf``, ``normal_log_cdf`` and ``normal_quantile`` -- the
   standard normal CDF Phi, its logarithm and its inverse, vectorized over
@@ -11,9 +11,6 @@ Five building blocks live here:
   instead of collapsing to ``1 - Phi(t)`` cancellation noise.  Q underflows
   to subnormals near t = 37.5 and to exactly 0 near t = 38.5;
   ``normal_log_cdf`` goes on past that.
-* ``q_approx`` -- the exponential upper-tail fit
-  ``exp(-(k1 t^2 + k2 t + k3))`` valid for t >= 0, which is what turns tail
-  powers into Gaussian integrals with closed forms.
 * Gauss-Hermite rules in the *probabilists'* normalization, i.e. nodes and
   weights such that ``sum(w_i * f(z_i))`` approximates ``E[f(Z)]`` for a
   standard normal Z.  ``hermgauss`` supplies the physicists' rule for
@@ -48,7 +45,6 @@ __all__ = [
     "normal_cdf",
     "normal_log_cdf",
     "normal_quantile",
-    "q_approx",
     "q_function",
 ]
 
@@ -293,21 +289,6 @@ def q_function(t):
         raise DomainError("q_function requires finite input")
     out = normal_cdf(-arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def q_approx(t, params: QApproxParams = DEFAULT_Q_APPROX):
-    """Exponential tail fit ``exp(-(k1 t^2 + k2 t + k3))`` for t >= 0.
-
-    Negative arguments are rejected: the fit is one-sided, and callers must
-    reflect through ``Q(-t) = 1 - Q(t)`` themselves.
-    """
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("q_approx requires finite input")
-    if np.any(arr < 0.0):
-        raise DomainError("q_approx is defined for t >= 0 only; reflect via Q(-t) = 1 - Q(t)")
-    out = np.exp(-(params.k1 * arr * arr + params.k2 * arr + params.k3))
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
 @lru_cache(maxsize=32)

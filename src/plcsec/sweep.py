@@ -10,13 +10,15 @@ used in golden-file regressions.
 Every Monte Carlo point uses the spec's own seed, so the points of an axis
 share their draws (common random numbers): neighbouring points are
 correlated, each point's CI stays valid on its own, and a row depends only
-on the samples, the seed, the scenario and its axis value.  On a power axis
-every route runs once for the whole axis: the Monte Carlo ASC draws its
-trials once and scores every power, the quadrature ASC builds its
-power-free vectors once and forms only the rates per power, and the routes
-that do not depend on power (all POI methods and both asymptotes) serve
-every power with one value.  On a destination-count axis every route runs
-point by point.
+on the samples, the seed, the scenario and its axis value.
+
+A sweep groups the points that differ only in transmit power, so a power
+axis is one group and each destination count a group of its own, and every
+route runs once per group: the Monte Carlo ASC draws its trials once and
+scores every power, the quadrature ASC builds its power-free vectors once
+and forms only the rates per power, and the routes that do not depend on
+power (all POI methods and both asymptotes) serve every power with one
+value.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -35,7 +37,6 @@ import numpy as np
 from .channel import PinholeTopology, is_destination_count, link_params_from_db
 from .errors import ConfigError, PlcsecError
 from .metrics import (
-    SecrecyResult,
     SystemConfig,
     asc_asymptotic,
     asc_asymptotic_large_n,
@@ -241,84 +242,63 @@ _EVALUATORS = {
 }
 
 
-def _point_config(spec: SweepSpec, axis_value) -> SystemConfig:
-    if spec.axis == "transmit_power_db":
-        return spec.base.system_config(
-            power_db=float(axis_value), quad_order=spec.quadrature_order
-        )
-    return spec.base.system_config(
-        n_destinations=axis_value, quad_order=spec.quadrature_order
-    )
-
-
-def _evaluate(spec: SweepSpec, method: str, cfg: SystemConfig) -> SecrecyResult | PlcsecError:
+def _group_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list) -> list:
+    """One result, or the error raised in its place, per power of a group
+    of points that differ only in transmit power."""
     try:
+        if (spec.metric, method) == ("asc", "monte-carlo"):
+            return mc_asc(cfg, spec.mc, powers=powers)
+        if (spec.metric, method) == ("asc", "quadrature"):
+            return _EVALUATORS[("asc", "quadrature")](cfg, powers=powers)
+        # Power-free by construction: one evaluation serves every power.
         if method == "monte-carlo":
-            return mc_asc(cfg, spec.mc) if spec.metric == "asc" else mc_poi(cfg, spec.mc)
-        return _EVALUATORS[(spec.metric, method)](cfg)
+            result = mc_poi(cfg, spec.mc)
+        else:
+            result = _EVALUATORS[(spec.metric, method)](cfg)
     except PlcsecError as exc:
-        return exc
-
-
-def _axis_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list) -> list:
-    """One result, or the error raised in its place, per power."""
-    if (spec.metric, method) == ("asc", "monte-carlo"):
-        return mc_asc(cfg, spec.mc, powers=powers)
-    if (spec.metric, method) == ("asc", "quadrature"):
-        return _EVALUATORS[("asc", "quadrature")](cfg, powers=powers)
-    # Power-free by construction: one evaluation serves every power.
-    return [_evaluate(spec, method, cfg)] * len(powers)
-
-
-def _cell(spec: SweepSpec, axis_value, method: str, result) -> SweepRow | SweepError:
-    if isinstance(result, PlcsecError):
-        return SweepError(axis_value=axis_value, method=method, message=str(result))
-    return SweepRow(
-        axis_value=axis_value,
-        method=method,
-        metric=spec.metric,
-        value=result.value,
-        ci_halfwidth=result.ci_halfwidth,
-    )
+        result = exc
+    return [result] * len(powers)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    On a destination-count axis every route runs as each point's
-    configuration is built; on a power axis each runs once for the whole
-    axis, after the configurations are built.  Rows come in axis order,
-    methods in spec order within a point.  A failing point becomes a
-    :class:`SweepError` and the sweep continues.
+    Each point's configuration is built first, and the points that differ
+    only in transmit power form one group: the whole power axis is one
+    group, and each destination count is a group of its own.  Every route
+    then runs once per group.  Rows come in axis order, methods in spec
+    order within a point.  A failing point becomes a :class:`SweepError`
+    and the sweep continues.
     """
-    axis_wide = spec.axis == "transmit_power_db"
-    cells = {method: [None] * len(spec.values) for method in spec.methods}
-    # Only the first configuration is kept: holding one per point would
-    # wake the garbage collector on long axes.
-    first, ok, powers = None, [], []
+    power_axis = spec.axis == "transmit_power_db"
+    results = [None] * len(spec.values)
+    # A group keeps only its first configuration: holding one per point
+    # would wake the garbage collector on long axes.
+    groups = []  # (configuration, point indices, linear powers)
     for i, axis_value in enumerate(spec.values):
+        at = {"power_db": float(axis_value)} if power_axis else {"n_destinations": axis_value}
         try:
-            cfg = _point_config(spec, axis_value)
+            cfg = spec.base.system_config(quad_order=spec.quadrature_order, **at)
         except PlcsecError as exc:
-            for method in spec.methods:
-                cells[method][i] = _cell(spec, axis_value, method, exc)
+            results[i] = [exc] * len(spec.methods)
             continue
-        if first is None:
-            first = cfg
-        ok.append(i)
-        powers.append(cfg.transmit_power)
-        if not axis_wide:
-            for method in spec.methods:
-                cells[method][i] = _cell(spec, axis_value, method, _evaluate(spec, method, cfg))
-    if first is not None and axis_wide:
-        for method in spec.methods:
-            for i, result in zip(ok, _axis_results(spec, method, first, powers)):
-                cells[method][i] = _cell(spec, spec.values[i], method, result)
+        if not (power_axis and groups):
+            groups.append((cfg, [], []))
+        groups[-1][1].append(i)
+        groups[-1][2].append(cfg.transmit_power)
+    for cfg, points, powers in groups:
+        per_method = [_group_results(spec, m, cfg, powers) for m in spec.methods]
+        for k, i in enumerate(points):
+            results[i] = [column[k] for column in per_method]
     rows, errors = [], []
-    for i in range(len(spec.values)):
-        for method in spec.methods:
-            cell = cells[method][i]
-            (errors if isinstance(cell, SweepError) else rows).append(cell)
+    for axis_value, cells in zip(spec.values, results):
+        for method, result in zip(spec.methods, cells):
+            if isinstance(result, PlcsecError):
+                errors.append(SweepError(axis_value, method, str(result)))
+            else:
+                rows.append(SweepRow(
+                    axis_value, method, spec.metric, result.value, result.ci_halfwidth
+                ))
     return rows, errors
 
 

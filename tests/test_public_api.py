@@ -46,7 +46,6 @@ PUBLIC = [
     "noise_events",
     "poi_closed_form",
     "poi_quadrature",
-    "q_approx",
     "q_function",
     "rows_to_csv",
     "run_sweep",
@@ -69,7 +68,7 @@ REMOVED = {
         "instantaneous_secrecy_capacity",
     ],
     "noise": ["alpha_factors", "sample_noise_state"],
-    "special_math": ["expect_standard_normal"],
+    "special_math": ["expect_standard_normal", "q_approx"],
 }
 
 MODULES = [

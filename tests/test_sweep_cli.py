@@ -20,11 +20,17 @@ from plcsec import (
     PinholeTopology,
     ScenarioParams,
     SweepSpec,
+    asc_asymptotic,
+    asc_asymptotic_large_n,
+    asc_quadrature,
     available_presets,
     dump_config,
     get_preset,
     load_config,
     loads_config,
+    mc_asc,
+    mc_poi,
+    poi_closed_form,
     poi_quadrature,
     rows_to_csv,
     run_sweep,
@@ -33,6 +39,7 @@ from plcsec.cli import main
 from plcsec.config import spec_to_dict
 
 TINY_MC = McConfig(samples=10_000, seed=5, workers=1)
+SWEEP_MC = McConfig(samples=20_000, seed=5, workers=1)
 
 
 def small_spec(**overrides):
@@ -145,21 +152,35 @@ class TestRunSweep:
             (20.0, "asymptotic"),
         ]
 
-    def test_poi_axis_over_destinations(self):
-        spec = small_spec(
-            metric="poi",
-            axis="n_destinations",
-            values=(1, 2, 4),
-            methods=("quadrature", "closed-form-poi"),
-        )
+    def _check_destination_axis(self, metric, routes):
+        methods = sweep_mod.POI_METHODS if metric == "poi" else sweep_mod.ASC_METHODS
+        assert list(routes) == list(methods)
+        spec = small_spec(metric=metric, axis="n_destinations", values=(1, 2, 4),
+                          methods=methods, mc=SWEEP_MC)
         rows, errors = run_sweep(spec)
         assert errors == []
-        got = {(r.axis_value, r.method): r.value for r in rows}
+        got = {(r.axis_value, r.method): (r.value, r.ci_halfwidth) for r in rows}
+        assert len(got) == len(rows) == 3 * len(methods)
         for n in (1, 2, 4):
-            direct = poi_quadrature(
-                spec.base.system_config(n_destinations=n)
-            ).value
-            assert got[(n, "quadrature")] == direct
+            cfg = spec.base.system_config(n_destinations=n)
+            for method, route in routes.items():
+                direct = route(cfg)
+                assert got[(n, method)] == (direct.value, direct.ci_halfwidth), (n, method)
+
+    def test_poi_axis_over_destinations(self):
+        self._check_destination_axis("poi", {
+            "quadrature": poi_quadrature,
+            "closed-form-poi": poi_closed_form,
+            "monte-carlo": lambda cfg: mc_poi(cfg, SWEEP_MC),
+        })
+
+    def test_asc_axis_over_destinations(self):
+        self._check_destination_axis("asc", {
+            "quadrature": asc_quadrature,
+            "asymptotic": asc_asymptotic,
+            "asymptotic-large-n": asc_asymptotic_large_n,
+            "monte-carlo": lambda cfg: mc_asc(cfg, SWEEP_MC),
+        })
 
     def test_monte_carlo_points_are_deterministic(self):
         spec = small_spec(values=(10.0,), methods=("monte-carlo",))
@@ -182,6 +203,7 @@ class TestRunSweep:
         assert seen == [2]
 
     def test_power_free_routes_run_once_per_power_axis(self, monkeypatch):
+        # And every route once per destination count.
         calls = {}
 
         def counting(name, fn):
@@ -194,18 +216,45 @@ class TestRunSweep:
             monkeypatch.setitem(sweep_mod._EVALUATORS, key, counting(key, fn))
         for name in ("mc_asc", "mc_poi"):
             monkeypatch.setattr(sweep_mod, name, counting(name, getattr(sweep_mod, name)))
-        values = (0.0, 10.0, 20.0)
-        run_sweep(small_spec(values=values, methods=sweep_mod.ASC_METHODS))
-        run_sweep(small_spec(metric="poi", values=values, methods=sweep_mod.POI_METHODS))
-        assert calls == {
-            ("asc", "quadrature"): 1,
-            ("asc", "asymptotic"): 1,
-            ("asc", "asymptotic-large-n"): 1,
-            "mc_asc": 1,
-            ("poi", "quadrature"): 1,
-            ("poi", "closed-form-poi"): 1,
-            "mc_poi": 1,
-        }
+        routes = [("asc", "quadrature"), ("asc", "asymptotic"), ("asc", "asymptotic-large-n"),
+                  "mc_asc", ("poi", "quadrature"), ("poi", "closed-form-poi"), "mc_poi"]
+        for axis, values, runs in [("transmit_power_db", (0.0, 10.0, 20.0), 1),
+                                   ("n_destinations", (2, 3), 2)]:
+            calls.clear()
+            run_sweep(small_spec(axis=axis, values=values, methods=sweep_mod.ASC_METHODS))
+            run_sweep(small_spec(metric="poi", axis=axis, values=values,
+                                 methods=sweep_mod.POI_METHODS))
+            assert calls == dict.fromkeys(routes, runs), axis
+
+    def test_config_errors_at_both_ends_of_a_power_axis(self):
+        # -4000 dB underflows and 4000 dB overflows the linear power, so
+        # neither point has a configuration; at 3000 dB the rates overflow,
+        # which only the power-dependent routes see.
+        def sweep(values):
+            base = ScenarioParams(m_b_db=100.0, m_e_db=100.0)
+            return run_sweep(small_spec(values=values, methods=sweep_mod.ASC_METHODS,
+                                        base=base))
+
+        rows, errors = sweep((-4000.0, 20.0, 3000.0, 4000.0))
+        messages = {}
+        for value in (-4000.0, 4000.0):
+            with pytest.raises(ConfigError) as info:
+                ScenarioParams().system_config(power_db=value)
+            messages[value] = str(info.value)
+        assert [(e.axis_value, e.method) for e in errors] == (
+            [(-4000.0, m) for m in sweep_mod.ASC_METHODS]
+            + [(3000.0, "quadrature"), (3000.0, "monte-carlo")]
+            + [(4000.0, m) for m in sweep_mod.ASC_METHODS]
+        )
+        for e in errors:
+            if e.axis_value in messages:
+                assert e.message == messages[e.axis_value]
+        assert [(r.axis_value, r.method) for r in rows if r.axis_value == 3000.0] == [
+            (3000.0, "asymptotic"), (3000.0, "asymptotic-large-n"),
+        ]
+        alone, alone_errors = sweep((20.0,))
+        assert alone_errors == []
+        assert [r for r in rows if r.axis_value == 20.0] == alone
 
     def test_monte_carlo_poi_is_flat_along_power(self):
         spec = small_spec(metric="poi", values=(-10.0, 20.0, 60.0), methods=("monte-carlo",))
