@@ -1,10 +1,10 @@
 """YAML sweep configurations: load, validate, dump.
 
 The file format mirrors :class:`~plcsec.sweep.SweepSpec` as nested
-key-value sections.  A file may instead reference a named preset (plus a
-``variant`` label when the preset has several); any other keys then override
-the preset's values section-by-section.  ``dump_config`` emits the fully
-resolved canonical form, and ``load(dump(spec))`` is the identity.
+key-value sections.  A file may instead reference a named preset and one of
+its ``variant`` labels; any other keys then override the preset's values
+section-by-section.  ``dump_config`` emits the fully resolved canonical
+form, and ``load(dump(spec))`` is the identity.
 """
 
 from __future__ import annotations
@@ -221,22 +221,17 @@ def loads_config(text: str) -> SweepSpec:
         name = data.pop("preset")
         variant = data.pop("variant", None)
         specs = get_preset(name)
+        labels = ", ".join(s.label for s in specs)
         if variant is None:
-            if len(specs) > 1:
-                raise ConfigError(
-                    f"preset {name!r} has variants; pick one with 'variant': "
-                    + ", ".join(s.label for s in specs)
-                )
-            chosen = specs[0]
-        else:
-            matches = [s for s in specs if s.label == variant]
-            if not matches:
-                raise ConfigError(
-                    f"preset {name!r} has no variant {variant!r}; available: "
-                    + ", ".join(s.label for s in specs)
-                )
-            chosen = matches[0]
-        data = _deep_merge(spec_to_dict(chosen), data)
+            raise ConfigError(
+                f"preset {name!r} has variants; pick one with 'variant': {labels}"
+            )
+        matches = [s for s in specs if s.label == variant]
+        if not matches:
+            raise ConfigError(
+                f"preset {name!r} has no variant {variant!r}; available: {labels}"
+            )
+        data = _deep_merge(spec_to_dict(matches[0]), data)
 
     return dict_to_spec(data)
 

@@ -14,21 +14,21 @@ provided for its average:
 * ``asc_asymptotic`` / ``asc_asymptotic_large_n`` -- closed forms for the
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
-  of transmit power) and integrating tail powers through the exponential
-  Q-fit.  Single terms reduce to the half-axis Gaussian segment integrals
-  of :mod:`plcsec.special_math`.
+  of transmit power).  All terms but the eavesdropper's clamp are linear in
+  the log SNR factors, so they take their mean over the noise events once.
 * ``poi_quadrature`` / ``poi_closed_form`` -- the probability that the
   eavesdropper's rate exceeds the scheduled destination's.  The shared gain
   and the transmit power cancel in the defining inequality, so both
   functions are structurally independent of transmit power.
 
-Expanding the tail powers binomially would give alternating sums whose
-terms grow like exp(0.55 N) while the sum stays bounded.  Each such sum is
-evaluated instead as the bounded half-line integral it expands,
-``E[(c0 + c1 T) (1 - Qfit(T))^M ; T > 0]`` over a Gaussian T, by a fixed
-composite Gauss-Legendre rule in double precision; only the single exact
-terms go through the segment integrals.  Cost and accuracy do not depend on
-N, and the integrals' error estimate is reported as ``integration_error``.
+Every closed-form term is one expectation ``E[(c0 + c1 T) Phi(T)^m]`` over
+a Gaussian T, taken through the exponential Q-fit by ``_fit_expectation``.
+Below 0 it is a half-axis Gaussian segment integral of
+:mod:`plcsec.special_math`.  Above 0, expanding ``(1 - Qfit)^m`` binomially
+would give alternating sums whose terms grow like exp(0.55 N) while the sum
+stays bounded; the power is integrated instead by a fixed composite
+Gauss-Legendre rule in double precision.  Cost and accuracy do not depend on
+N, and that integral's error estimate is reported as ``integration_error``.
 """
 
 from __future__ import annotations
@@ -243,33 +243,7 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
 
 
 # ---------------------------------------------------------------------------
-# Completed-square constant families
-# ---------------------------------------------------------------------------
-
-
-def _dest_family(qp: QApproxParams, n: int) -> tuple[float, float, float]:
-    """(a, b_bar, d) for the n-th power of the Q-fit times the normal pdf."""
-    a = math.sqrt(2.0 * n * qp.k1 + 1.0)
-    b_bar = -n * qp.k2 / a
-    c = 2.0 * n * qp.k3
-    d = math.exp(-0.5 * (c - b_bar * b_bar))
-    return a, b_bar, d
-
-
-def _eav_family(
-    qp: QApproxParams, n: int, lam: float, phi_e: float
-) -> tuple[float, float, float]:
-    """(a, b, d) for the eavesdropper-side contest factor."""
-    inv2 = 1.0 / (phi_e * phi_e)
-    a = math.sqrt(2.0 * n * qp.k1 + inv2)
-    b = (n * qp.k2 + lam * inv2) / a
-    c = 2.0 * n * qp.k3 + lam * lam * inv2
-    d = math.exp(-0.5 * (c - b * b))
-    return a, b, d
-
-
-# ---------------------------------------------------------------------------
-# Half-line integral behind the alternating binomial sums
+# Q-fit expectations behind the closed forms
 # ---------------------------------------------------------------------------
 
 # Composite Gauss-Legendre rule in standard-normal units: panels of at most
@@ -285,7 +259,7 @@ _EPS = np.finfo(float).eps
 
 
 def _tail_power_integral(
-    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float = 1.0, c1: float = 0.0
+    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float, c1: float
 ) -> tuple[float, float]:
     """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``.
 
@@ -312,14 +286,29 @@ def _tail_power_integral(
     return fine, abs(fine - coarse) + rounding
 
 
+def _fit_expectation(
+    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float, c1: float
+) -> tuple[float, float]:
+    """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the Q-fit.
+
+    Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
+    completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
+    Gaussian segment integral.  Above 0, ``Phi = 1 - Q`` gives
+    :func:`_tail_power_integral`, whose error estimate is returned.
+    """
+    inv2 = 1.0 / (sigma * sigma)
+    a = math.sqrt(2.0 * m * qp.k1 + inv2)
+    b = (m * qp.k2 + lam * inv2) / a
+    d = math.exp(-0.5 * (2.0 * m * qp.k3 + lam * lam * inv2 - b * b))
+    seg = gaussian_segment_integrals(a, b)
+    head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
+    tail, error = _tail_power_integral(qp, lam, sigma, m, c0, c1)
+    return head + tail, error
+
+
 # ---------------------------------------------------------------------------
 # Closed-form asymptotic average secrecy capacity
 # ---------------------------------------------------------------------------
-
-
-def _neg_bracket(a: float, b: float, c0: float, c1: float) -> float:
-    seg = gaussian_segment_integrals(a, b)
-    return c0 * seg.i_neg + c1 * seg.i_neg_t
 
 
 def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyResult:
@@ -328,40 +317,31 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
     n_dest = topo.n_destinations
     qp = cfg.q_approx
     phi_e = eav.s / dest.s
+    events = noise_events(cfg.dest_noise, cfg.eav_noise)
 
-    total = 0.0
-    error = 0.0
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
-        lam = _event_offset(ev, dest, eav)
-        c0_b = math.log(ev.alpha_b) + dest.m
+    # Linear in log alpha: one term at the noise-event mean covers the mixture.
+    log_b = sum(ev.probability * math.log(ev.alpha_b) for ev in events)
+    log_e = sum(ev.probability * math.log(ev.alpha_e) for ev in events)
+    # The many-destination limit keeps only the destination's half line above 0.
+    dest_fit = _fit_expectation if keep_vanishing_terms else _tail_power_integral
+    dest_value, dest_error = dest_fit(qp, 0.0, 1.0, n_dest - 1, log_b + dest.m, dest.s)
+    total = n_dest * dest_value - (log_e + eav.m)
+    error = n_dest * dest_error
 
-        dest_minus, err = _tail_power_integral(qp, 0.0, 1.0, n_dest - 1, c0_b, dest.s)
-        eav_zero = (math.log(ev.alpha_e) + eav.m) / LN2
-        event_value = n_dest / LN2 * dest_minus - eav_zero
-        event_error = n_dest / LN2 * err
-
-        if keep_vanishing_terms:
-            a, b_bar, d = _dest_family(qp, n_dest - 1)
-            dest_plus = (
-                n_dest * d / LN2 * _neg_bracket(a, -b_bar, c0_b, dest.s)
-            )
+    if keep_vanishing_terms:
+        # The eavesdropper's clamp: its log rate where it beats every destination.
+        for ev in events:
+            lam = _event_offset(ev, dest, eav)
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            ea, eb, ed = _eav_family(qp, n_dest, lam, phi_e)
-            eav_plus = ed / (phi_e * LN2) * _neg_bracket(ea, eb, c0_e, eav.s / phi_e)
-            eav_minus, err = _tail_power_integral(
-                qp, lam, phi_e, n_dest, c0_e, eav.s / phi_e
-            )
-            event_value += dest_plus - eav_plus - eav_minus / LN2
-            event_error += err / LN2
-
-        total += ev.probability * event_value
-        error += ev.probability * event_error
+            value, err = _fit_expectation(qp, lam, phi_e, n_dest, c0_e, eav.s / phi_e)
+            total -= ev.probability * value
+            error += ev.probability * err
 
     method = "asymptotic" if keep_vanishing_terms else "asymptotic-large-n"
     return SecrecyResult(
-        value=total,
+        value=total / LN2,
         method=method,
-        diagnostics={"integration_error": error},
+        diagnostics={"integration_error": error / LN2},
     )
 
 
@@ -379,8 +359,9 @@ def asc_asymptotic(cfg: SystemConfig) -> SecrecyResult:
 def asc_asymptotic_large_n(cfg: SystemConfig) -> SecrecyResult:
     """Many-destination limit: only the terms that survive as N grows.
 
-    Keeps the positive-half-axis destination sum and the eavesdropper's full
-    log expectation; the three terms it drops all vanish as the number of
+    Keeps the positive-half-axis destination integral and the eavesdropper's
+    full log expectation.  It drops the destination's negative half axis and
+    the eavesdropper's clamp, which both vanish as the number of
     destinations grows (given the destination's log-mean dominates).
     """
     return _asymptotic_value(cfg, keep_vanishing_terms=False)
@@ -392,27 +373,23 @@ def asc_asymptotic_large_n(cfg: SystemConfig) -> SecrecyResult:
 
 
 def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
-    """Intercept probability assembled from the segment-integral constants.
+    """Intercept probability through the Q-fit.
 
-    Same contest factor as :func:`poi_quadrature`, but the tail power goes
-    through the exponential Q-fit: the negative half-axis is one Gaussian
-    segment integral, the positive one a half-line integral of the fitted
-    tail power.  Transmit power never enters.
+    Same contest factor ``E[Phi(phi_e t + lam)^N]`` as
+    :func:`poi_quadrature`, taken by :func:`_fit_expectation` per noise
+    event.  Transmit power never enters.
     """
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n_dest = topo.n_destinations
-    qp = cfg.q_approx
     phi_e = eav.s / dest.s
 
     total = 0.0
     error = 0.0
     for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
-        a, b, d = _eav_family(qp, n_dest, lam, phi_e)
-        head = d * gaussian_segment_integrals(a, b).i_neg / phi_e
-        tail, err = _tail_power_integral(qp, lam, phi_e, n_dest)
-        total += ev.probability * (head + tail)
+        value, err = _fit_expectation(cfg.q_approx, lam, phi_e, n_dest, 1.0, 0.0)
+        total += ev.probability * value
         error += ev.probability * err
 
     return SecrecyResult(

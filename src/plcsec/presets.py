@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .errors import ConfigError
-from .sweep import ScenarioParams, SweepSpec
+from .sweep import POI_METHODS, ScenarioParams, SweepSpec
 
 __all__ = ["available_presets", "get_preset"]
 
 _POWER_GRID_DB = tuple(float(p) for p in range(-10, 62, 2))
 _ASC_METHODS = ("quadrature", "asymptotic", "monte-carlo")
-_POI_METHODS = ("quadrature", "closed-form-poi", "monte-carlo")
 
 _BASE = ScenarioParams()  # -20/-20/-40 dB means, 6 dB spreads, p=0.1, eta=10
 
@@ -40,7 +39,7 @@ def _poi_spec(label: str, base: ScenarioParams) -> SweepSpec:
         metric="poi",
         axis="n_destinations",
         values=tuple(range(1, 17)),
-        methods=_POI_METHODS,
+        methods=POI_METHODS,
         base=base,
         label=label,
     )

@@ -159,6 +159,33 @@ def test_integration_error_bounds_gap_to_sums(name, n):
             assert abs(value - expected) <= error, (shift, scale, m, value, expected)
 
 
+@pytest.mark.parametrize("n", ORACLE_N)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_asymptotes_integration_error_bounds_gap_to_sums(name, n):
+    # Route level: each asymptote's reported estimate covers its whole gap.
+    # poi_closed_form is left out, since its estimate omits the rounding of
+    # the segment term (at sb6-se2-impulsive, N = 1, the gap is ~7e-18
+    # against an estimate of ~1e-22).
+    cfg = SCENARIOS[name].system_config(n_destinations=n)
+    full, large, _ = mp_closed_forms(name, n)
+    for fn, expected in ((asc_asymptotic, full), (asc_asymptotic_large_n, large)):
+        res = fn(cfg)
+        error = res.diagnostics["integration_error"]
+        assert abs(res.value - expected) <= error, (fn.__name__, res.value, expected, error)
+
+
+@pytest.mark.parametrize("lam, sigma", [(-39.0, 1.0), (-80.0, 2.0), (-1e6, 0.5)])
+def test_tail_integral_is_zero_past_the_window(lam, sigma):
+    # With lam / sigma <= -39 the half line T > 0 lies beyond the rule's
+    # window: the weight there is below 1e-330, which double precision
+    # cannot hold.
+    qp = SCENARIOS["equal-spreads"].system_config().q_approx
+    for m in (0, 1, 40):
+        assert metrics_mod._tail_power_integral(qp, lam, sigma, m, 1.0, 1.0) == (0.0, 0.0)
+        mass, first = mp_tail_moments(qp, lam, sigma, m)
+        assert float(mass) == 0.0 and float(first) == 0.0
+
+
 def test_intercept_probability_nonnegative_and_nonincreasing():
     base = SCENARIOS["sb6-se2-impulsive"]
     prev = math.inf

@@ -40,7 +40,7 @@ from plcsec import (
     poi_quadrature,
     q_function,
 )
-from plcsec.metrics import _dest_family, _eav_family, _event_offset
+from plcsec.metrics import _event_offset, _fit_expectation
 
 LN2 = math.log(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -461,30 +461,16 @@ class TestPoiClosedForm:
 
 
 class TestAsymptoticConstants:
-    def test_zero_index_identities(self):
-        a, b_bar, d = _dest_family(make_config().q_approx, 0)
-        assert a == 1.0
-        assert b_bar == 0.0
-        assert d == 1.0
-
-    def test_first_index_scale(self):
-        a, _, _ = _dest_family(make_config().q_approx, 1)
-        assert a == pytest.approx(math.sqrt(2 * K1 + 1), abs=1e-12)
-        assert a == pytest.approx(1.32982, abs=1e-5)
-
-    def test_amplitudes_positive(self):
-        cfg = make_config()
-        dest, eav = effective_links(cfg.topology)
-        phi_e = eav.s / dest.s
-        for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
-            lam = _event_offset(ev, dest, eav)
-            for n in (0, 1, 7, 40):
-                dest_a, _, dest_d = _dest_family(cfg.q_approx, n)
-                eav_a, _, eav_d = _eav_family(cfg.q_approx, n, lam, phi_e)
-                assert dest_d > 0.0
-                assert eav_d > 0.0
-                assert dest_a > 0.0
-                assert eav_a > 0.0
+    @pytest.mark.parametrize("lam, sigma", [(0.0, 1.0), (1.5, 0.5), (-2.0, 3.0), (4.0, 0.3)])
+    def test_zero_power_gives_normal_moments(self, lam, sigma):
+        # At m = 0 the completed square must be the bare density of T
+        # (a = 1/sigma, b = lam/sigma, d = 1), so both halves add up to the
+        # mass 1 and the mean lam.
+        qp = make_config().q_approx
+        mass, _ = _fit_expectation(qp, lam, sigma, 0, 1.0, 0.0)
+        mean, _ = _fit_expectation(qp, lam, sigma, 0, 0.0, 1.0)
+        assert abs(mass - 1.0) <= 1e-12
+        assert abs(mean - lam) <= 1e-12
 
     def test_offset_reflects_noise_states(self):
         cfg = make_config()

@@ -20,6 +20,7 @@ from plcsec import (
     ConfigError,
     DomainError,
     QApproxParams,
+    QuadratureRule,
     gauss_hermite_rule,
     gaussian_segment_integrals,
     q_function,
@@ -269,6 +270,20 @@ class TestGaussHermiteRule:
                 gauss_hermite_rule(bad)
         with pytest.raises(ConfigError):
             gauss_hermite_rule(2.5)
+
+    @pytest.mark.parametrize(
+        "order, nodes, weights, message",
+        [
+            (2, [[-1.0, 1.0]], [[0.5, 0.5]], "nodes and weights must be 1-D arrays"),
+            (3, [-1.0, 1.0], [0.5, 0.5], "rule order does not match"),
+            (2, [-1.0, 1.0], [1.5, -0.5], "weights must be positive"),
+            (2, [-1.0, 1.0], [0.5, 0.6], "weights must sum to 1"),
+            (2, [-1.0, 2.0], [0.5, 0.5], "nodes must be symmetric about 0"),
+        ],
+    )
+    def test_rule_checks(self, order, nodes, weights, message):
+        with pytest.raises(ConfigError, match=message):
+            QuadratureRule(order=order, nodes=np.array(nodes), weights=np.array(weights))
 
     def test_rule_arrays_are_immutable(self):
         rule = gauss_hermite_rule(8)

@@ -88,6 +88,19 @@ class TestSweepSpecValidation:
             small_spec(quadrature_order=[64])
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"metric": "snr"}, "metric must be 'asc' or 'poi'"),
+            ({"axis": "p_b"}, "axis must be one of"),
+            ({"methods": ()}, "methods must be a nonempty list"),
+            ({"methods": ("quadrature", "quadrature")}, "methods must not repeat"),
+        ],
+    )
+    def test_rejects_bad_fields(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            small_spec(**overrides)
+
+    @pytest.mark.parametrize(
         "n, valid",
         [(10, True), (np.int64(10), True), (True, False), (0, False), (2.0, False),
          (2.5, False)],
@@ -127,6 +140,17 @@ class TestSweepSpecValidation:
     def test_scenario_rejects_non_number_fields(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be a number"):
             ScenarioParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("p_b", -0.1, "must lie in [0, 1]"), ("p_e", 1.5, "must lie in [0, 1]"),
+         ("eta_b", -1.0, "must be >= 0"), ("eta_e", -1e-9, "must be >= 0"),
+         ("bg_var_b", 0.0, "must be > 0"), ("bg_var_e", -2.0, "must be > 0")],
+    )
+    def test_scenario_rejects_out_of_range_fields(self, name, value, message):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioParams(**{name: value})
+        assert str(exc.value) == f"{name} {message}"
 
     def test_scenario_rejects_non_finite_spread(self):
         with pytest.raises(ConfigError, match="^s_b_db must be finite"):
@@ -306,6 +330,11 @@ class TestRunSweep:
         assert lines[1].startswith("0,quadrature,asc,")
         assert text == rows_to_csv(run_sweep(spec)[0])
 
+    def test_fractional_power_axis_keeps_its_digits(self):
+        rows, _ = run_sweep(small_spec(values=(0.25, 2.5), methods=("asymptotic",)))
+        lines = rows_to_csv(rows).splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["0.25", "2.5"]
+
 
 class TestPresets:
     def test_catalogue(self):
@@ -436,6 +465,13 @@ class TestConfigFiles:
         assert (base.bg_var_e, base.eta_e, base.p_e) == (1.0, 0.0, 0.0)
         assert (base.eta_b, base.p_b) == (0.0, 0.1)
 
+    def test_omitted_monte_carlo_takes_the_default(self):
+        data = spec_to_dict(small_spec())
+        del data["monte_carlo"]
+        import yaml
+
+        assert loads_config(yaml.safe_dump(data)).mc == sweep_mod.DEFAULT_MC
+
     def test_preset_reference_with_override(self):
         text = "preset: fig3\nvariant: n10-ph\nvalues: [0.0, 10.0]\n"
         spec = loads_config(text)
@@ -500,6 +536,7 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         assert main(["sweep", str(tmp_path / "missing.yaml")]) == 2
         assert main(["preset", "fig99"]) == 2
+        assert main(["preset", "fig6", "--quad-order", "0"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
 
@@ -517,12 +554,26 @@ class TestCli:
                 None,
                 "monte_carlo: seed",
             ),
+            (b"- metric\n", None, "config root must be a mapping"),
+            (b"preset: fig3\nvariant: n10-ph\nsystem: 3\n", None,
+             "system: expected a mapping"),
+            (b"preset: fig3\nvariant: n10-ph\nsystem: {source: 3}\n", None,
+             "system.source: expected a mapping"),
+            (b"preset: fig3\nvariant: n10-ph\nmonte_carlo: 3\n", None,
+             "monte_carlo: expected a mapping"),
+            (b"preset: fig3\nvariant: n10-ph\nvalues: 3\n", None,
+             "values: expected a list of numbers"),
+            (b"preset: fig3\nvariant: n10-ph\nmethods: quadrature\n", None,
+             "methods: expected a list of method names"),
+            (b"preset: fig3\nvariant: n10-ph\nlabel: [a]\n", None, "label: expected a string"),
             (b"preset: fig3\nvariant: n10-ph\n", ".", "Is a directory"),
             (b"preset: fig3\nvariant: n10-ph\n", "missing/out.csv", "No such file or directory"),
         ],
         ids=[
             "directory", "non-utf8", "list-preset", "nan-power", "inf-power", "negative-seed",
-            "out-directory", "out-missing-parent",
+            "list-root", "scalar-system", "scalar-source", "scalar-monte-carlo",
+            "scalar-values", "scalar-methods", "list-label", "out-directory",
+            "out-missing-parent",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, content, out, message):
@@ -597,6 +648,22 @@ class TestCli:
         assert "mb-20" in text and "mb-30" in text
         # 36 grid points x 3 methods per variant plus headers.
         assert text.count("\n") >= 2 * (36 * 3 + 2)
+
+    def test_preset_quad_order_reaches_quadrature(self, tmp_path, capsys):
+        out = tmp_path / "fig6.csv"
+        args = ["preset", "fig6", "--out", str(out), "--samples", "10000"]
+        assert main([*args, "--quad-order", "32"]) == 0
+        quad_rows = [line for line in out.read_text().splitlines() if ",quadrature," in line]
+
+        def rows(order):
+            lines = []
+            for spec in get_preset("fig6"):
+                spec = replace(spec, methods=("quadrature",), quadrature_order=order)
+                lines += rows_to_csv(run_sweep(spec)[0]).splitlines()[1:]
+            return lines
+
+        assert quad_rows == rows(32)
+        assert quad_rows != rows(64)
 
     def test_import_leaves_out_mpmath_and_scipy_integrate(self):
         # Each would add import time and resident memory to every run; so
