@@ -35,7 +35,6 @@ from .noise import (
 from .presets import available_presets, get_preset
 from .special_math import (
     DEFAULT_Q_APPROX,
-    QApproxParams,
     QuadratureRule,
     gauss_hermite_rule,
     gaussian_segment_integrals,
@@ -63,7 +62,6 @@ __all__ = [
     "NoiseParams",
     "PinholeTopology",
     "PlcsecError",
-    "QApproxParams",
     "QuadratureRule",
     "ScenarioParams",
     "SecrecyResult",

@@ -106,6 +106,14 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _destination_count(value, path: str) -> int:
+    """A destination count, given as a whole int or float (``10`` or ``10.0``)."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 1:
+        raise ConfigError(f"{path}: expected a whole destination count, got {value!r}")
+    return int(value)
+
+
 def _scenario(data) -> ScenarioParams:
     if not isinstance(data, dict):
         raise ConfigError("system: expected a mapping")
@@ -119,7 +127,11 @@ def _scenario(data) -> ScenarioParams:
         if isinstance(fill, str):
             if key in data:
                 value = data[key]
-                kwargs[fill] = _number(value, path) if fill in _REAL_FIELDS else value
+                if fill == "n_destinations":
+                    value = _destination_count(value, path)
+                elif fill in _REAL_FIELDS:
+                    value = _number(value, path)
+                kwargs[fill] = value
             continue
         section = data.get(key)
         if section is None:
@@ -156,10 +168,12 @@ def dict_to_spec(data: dict) -> SweepSpec:
     _check_keys(data, _TOP_KEYS, "")
     for key in _REQUIRED:
         _require(data, key, "")
+    axis = data["axis"]
     values = data["values"]
     if not isinstance(values, (list, tuple)):
         raise ConfigError("values: expected a list of numbers")
-    values = tuple(_number(v, f"values[{i}]") for i, v in enumerate(values))
+    read = _destination_count if axis == "n_destinations" else _number
+    values = tuple(read(v, f"values[{i}]") for i, v in enumerate(values))
     methods = data["methods"]
     if not isinstance(methods, (list, tuple)) or not all(
         isinstance(m, str) for m in methods
@@ -167,14 +181,6 @@ def dict_to_spec(data: dict) -> SweepSpec:
         raise ConfigError("methods: expected a list of method names")
     if not isinstance(data.get("label", ""), str):
         raise ConfigError("label: expected a string")
-    axis = data["axis"]
-    if axis == "n_destinations":
-        for i, v in enumerate(values):
-            if not v.is_integer():
-                raise ConfigError(
-                    f"values[{i}]: expected a whole destination count, got {v!r}"
-                )
-        values = tuple(int(v) for v in values)
     optional = {key: data[key] for key in ("label", "quadrature_order") if key in data}
     return SweepSpec(
         metric=data["metric"],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,8 +47,8 @@ from .special_math import (
     DEFAULT_Q_APPROX,
     DEFAULT_QUAD_ORDER,
     SQRT_2PI,
-    QApproxParams,
     QuadratureRule,
+    checked_quad_order,
     gauss_hermite_rule,
     gaussian_segment_integrals,
     normal_cdf,
@@ -70,20 +70,28 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything needed to evaluate the secrecy metrics of one scenario."""
+    """Everything needed to evaluate the secrecy metrics of one scenario.
+
+    ``quadrature_order`` sets the Gauss-Hermite rule of the quadrature
+    routes; the closed forms all integrate the one Q-fit ``q_approx``.
+    """
 
     topology: PinholeTopology
     dest_noise: NoiseParams
     eav_noise: NoiseParams
     transmit_power: float
-    quadrature: QuadratureRule = field(
-        default_factory=lambda: gauss_hermite_rule(DEFAULT_QUAD_ORDER)
-    )
-    q_approx: QApproxParams = DEFAULT_Q_APPROX
+    quadrature_order: int = DEFAULT_QUAD_ORDER
+    q_approx: ClassVar = DEFAULT_Q_APPROX
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.transmit_power) and self.transmit_power > 0.0):
             raise ConfigError("transmit_power must be finite and > 0")
+        checked_quad_order(self.quadrature_order)
+
+    @property
+    def quadrature(self) -> QuadratureRule:
+        """The Gauss-Hermite rule of ``quadrature_order``."""
+        return gauss_hermite_rule(self.quadrature_order)
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,9 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
     dest, eav = effective_links(cfg.topology)
     n = cfg.topology.n_destinations
     phi_e = eav.s / dest.s
-    t = cfg.quadrature.nodes
-    w = cfg.quadrature.weights
+    rule = cfg.quadrature
+    t = rule.nodes
+    w = rule.weights
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
     lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
@@ -256,10 +265,11 @@ _GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(16), leggauss(8)])
 _GL_FINE = slice(0, 16)
 _GL_COARSE = slice(16, None)
 _EPS = np.finfo(float).eps
+_K1, _K2, _K3 = DEFAULT_Q_APPROX
 
 
 def _tail_power_integral(
-    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float, c1: float
+    lam: float, sigma: float, m: int, c0: float, c1: float
 ) -> tuple[float, float]:
     """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``.
 
@@ -277,7 +287,7 @@ def _tail_power_integral(
     mids = lo + half * (2.0 * np.arange(panels) + 1.0)
     z = mids[:, None] + half * _GL_NODES
     t = lam + sigma * z
-    q = np.exp(-(qp.k1 * t * t + qp.k2 * t + qp.k3))
+    q = np.exp(-(_K1 * t * t + _K2 * t + _K3))
     exponent = m * np.log1p(-q) - 0.5 * z * z
     wf = (c0 + c1 * t) * np.exp(exponent) * (_GL_WEIGHTS * half / SQRT_2PI)
     fine = float(wf[:, _GL_FINE].sum())
@@ -287,23 +297,26 @@ def _tail_power_integral(
 
 
 def _fit_expectation(
-    qp: QApproxParams, lam: float, sigma: float, m: int, c0: float, c1: float
+    lam: float, sigma: float, m: int, c0: float, c1: float
 ) -> tuple[float, float]:
     """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the Q-fit.
 
     Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
     completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
     Gaussian segment integral.  Above 0, ``Phi = 1 - Q`` gives
-    :func:`_tail_power_integral`, whose error estimate is returned.
+    :func:`_tail_power_integral`.  The error estimate is that integral's
+    plus a rounding allowance for the segment term, which grows with the
+    magnitude of the parts of its exponent as the tail rule's does.
     """
     inv2 = 1.0 / (sigma * sigma)
-    a = math.sqrt(2.0 * m * qp.k1 + inv2)
-    b = (m * qp.k2 + lam * inv2) / a
-    d = math.exp(-0.5 * (2.0 * m * qp.k3 + lam * lam * inv2 - b * b))
+    a = math.sqrt(2.0 * m * _K1 + inv2)
+    b = (m * _K2 + lam * inv2) / a
+    d = math.exp(-0.5 * (2.0 * m * _K3 + lam * lam * inv2 - b * b))
     seg = gaussian_segment_integrals(a, b)
     head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
-    tail, error = _tail_power_integral(qp, lam, sigma, m, c0, c1)
-    return head + tail, error
+    tail, error = _tail_power_integral(lam, sigma, m, c0, c1)
+    rounding = _EPS * (16.0 + 0.5 * (2.0 * m * _K3 + lam * lam * inv2 + b * b)) * abs(head)
+    return head + tail, error + rounding
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +328,6 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n_dest = topo.n_destinations
-    qp = cfg.q_approx
     phi_e = eav.s / dest.s
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
 
@@ -324,7 +336,7 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
     log_e = sum(ev.probability * math.log(ev.alpha_e) for ev in events)
     # The many-destination limit keeps only the destination's half line above 0.
     dest_fit = _fit_expectation if keep_vanishing_terms else _tail_power_integral
-    dest_value, dest_error = dest_fit(qp, 0.0, 1.0, n_dest - 1, log_b + dest.m, dest.s)
+    dest_value, dest_error = dest_fit(0.0, 1.0, n_dest - 1, log_b + dest.m, dest.s)
     total = n_dest * dest_value - (log_e + eav.m)
     error = n_dest * dest_error
 
@@ -333,7 +345,7 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
         for ev in events:
             lam = _event_offset(ev, dest, eav)
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            value, err = _fit_expectation(qp, lam, phi_e, n_dest, c0_e, eav.s / phi_e)
+            value, err = _fit_expectation(lam, phi_e, n_dest, c0_e, eav.s / phi_e)
             total -= ev.probability * value
             error += ev.probability * err
 
@@ -388,7 +400,7 @@ def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
     error = 0.0
     for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
-        value, err = _fit_expectation(cfg.q_approx, lam, phi_e, n_dest, 1.0, 0.0)
+        value, err = _fit_expectation(lam, phi_e, n_dest, 1.0, 0.0)
         total += ev.probability * value
         error += ev.probability * err
 

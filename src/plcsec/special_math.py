@@ -37,9 +37,9 @@ __all__ = [
     "DEFAULT_Q_APPROX",
     "DEFAULT_QUAD_ORDER",
     "MAX_QUAD_ORDER",
-    "QApproxParams",
     "QuadratureRule",
     "SegmentIntegrals",
+    "checked_quad_order",
     "gauss_hermite_rule",
     "gaussian_segment_integrals",
     "normal_cdf",
@@ -54,37 +54,12 @@ DEFAULT_QUAD_ORDER = 64
 MAX_QUAD_ORDER = 200
 
 
-@dataclass(frozen=True)
-class QApproxParams:
-    """Coefficients of the tail fit ``Q(t) ~ exp(-(k1 t^2 + k2 t + k3))``.
-
-    The fit is an upper-tail surrogate, only meaningful for t >= 0.  The
-    invariants guarantee the surrogate is a probability: ``k1 > 0`` keeps it
-    integrable and the discriminant condition keeps the exponent nonnegative
-    on t >= 0 so the value stays in (0, 1].
-    """
-
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self) -> None:
-        for name in ("k1", "k2", "k3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"QApproxParams.{name} must be finite")
-        if self.k1 <= 0.0:
-            raise ConfigError("QApproxParams.k1 must be > 0")
-        if self.k3 < 0.0:
-            raise ConfigError("QApproxParams.k3 must be >= 0 (value at t=0 must not exceed 1)")
-        if self.k2 < 0.0 and self.k2 * self.k2 > 4.0 * self.k1 * self.k3:
-            raise ConfigError(
-                "QApproxParams exponent dips below 0 for some t >= 0; "
-                "the fit would exceed 1"
-            )
-
-
-# Fitted constants of the exponential tail bound used throughout.
-DEFAULT_Q_APPROX = QApproxParams(k1=0.3842, k2=0.7640, k3=0.6964)
+# Exponential tail fit ``Q(t) ~ exp(-(k1 t^2 + k2 t + k3))`` for t >= 0, the
+# one every closed form integrates.  ``k1 > 0`` keeps it integrable, and
+# ``k3 >= 0`` with ``k2 >= 0`` keeps it in (0, 1].
+DEFAULT_Q_APPROX = NamedTuple("QFit", [("k1", float), ("k2", float), ("k3", float)])(
+    k1=0.3842, k2=0.7640, k3=0.6964
+)
 
 
 @dataclass(frozen=True)
@@ -92,31 +67,14 @@ class QuadratureRule:
     """Gauss-Hermite nodes/weights normalized for standard-normal expectations.
 
     ``sum(weights) == 1`` and the nodes are symmetric about 0; the rule
-    integrates polynomials up to degree ``2 * order - 1`` exactly.  Instances
-    are immutable (arrays are write-locked) and safe to share across workers.
+    integrates polynomials up to degree ``2 * order - 1`` exactly.  Rules
+    come from :func:`gauss_hermite_rule`, which write-locks the arrays, so
+    they are safe to share across workers.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ConfigError("nodes and weights must be 1-D arrays of equal length")
-        if len(nodes) != self.order:
-            raise ConfigError("rule order does not match the number of nodes")
-        if np.any(weights <= 0.0):
-            raise ConfigError("quadrature weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ConfigError("quadrature weights must sum to 1")
-        if np.max(np.abs(nodes + nodes[::-1])) > 1e-12:
-            raise ConfigError("quadrature nodes must be symmetric about 0")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 def _horner(r: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -291,6 +249,18 @@ def q_function(t):
     return float(out) if arr.ndim == 0 else out
 
 
+def checked_quad_order(order) -> int:
+    """``order`` as a Gauss-Hermite rule order, or :class:`ConfigError`.
+
+    Runs before any cache lookup, so an unhashable order fails here too.
+    """
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ConfigError("quadrature order must be an integer")
+    if not 1 <= order <= MAX_QUAD_ORDER:
+        raise ConfigError(f"quadrature order must lie in [1, {MAX_QUAD_ORDER}], got {order}")
+    return int(order)
+
+
 @lru_cache(maxsize=32)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Build the probabilists' Gauss-Hermite rule of the given order.
@@ -299,16 +269,13 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     (``numpy.polynomial.hermite.hermgauss``) for the physicists' weight
     ``exp(-x^2)`` and are rescaled to the standard normal measure.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ConfigError("quadrature order must be an integer")
-    if not 1 <= order <= MAX_QUAD_ORDER:
-        raise ConfigError(f"quadrature order must lie in [1, {MAX_QUAD_ORDER}], got {order}")
-    x, w = hermgauss(int(order))
-    return QuadratureRule(
-        order=int(order),
-        nodes=math.sqrt(2.0) * x,
-        weights=w / math.sqrt(math.pi),
-    )
+    order = checked_quad_order(order)
+    x, w = hermgauss(order)
+    nodes = math.sqrt(2.0) * x
+    weights = w / math.sqrt(math.pi)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
 class SegmentIntegrals(NamedTuple):

@@ -46,7 +46,7 @@ from .metrics import (
 )
 from .montecarlo import McConfig, mc_asc, mc_poi
 from .noise import NoiseParams
-from .special_math import DEFAULT_QUAD_ORDER, gauss_hermite_rule
+from .special_math import DEFAULT_QUAD_ORDER, checked_quad_order
 
 __all__ = [
     "ASC_METHODS",
@@ -158,7 +158,7 @@ class ScenarioParams:
                 impulse_prob=self.p_e,
             ),
             transmit_power=power,
-            quadrature=gauss_hermite_rule(quad_order),
+            quadrature_order=quad_order,
         )
 
 
@@ -209,12 +209,9 @@ class SweepSpec:
             raise ConfigError("methods must not repeat")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "methods", methods)
-        # Validate the quadrature order eagerly so config errors surface
-        # before a sweep starts.
-        try:
-            gauss_hermite_rule(self.quadrature_order)
-        except TypeError:  # unhashable: the rule's cache fails before its check
-            raise ConfigError("quadrature order must be an integer") from None
+        # Config errors surface before a sweep starts, and a plain int keeps
+        # the resolved config YAML-dumpable.
+        object.__setattr__(self, "quadrature_order", checked_quad_order(self.quadrature_order))
 
 
 @dataclass(frozen=True)

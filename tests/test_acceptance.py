@@ -161,7 +161,7 @@ def test_criterion_05_poi_transmit_power_invariance():
             dest_noise=base.dest_noise,
             eav_noise=base.eav_noise,
             transmit_power=power,
-            quadrature=base.quadrature,
+            quadrature_order=base.quadrature_order,
         )
         quad_vals.add(poi_quadrature(cfg).value)
         cf_vals.add(poi_closed_form(cfg).value)

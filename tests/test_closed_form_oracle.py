@@ -15,6 +15,7 @@ import pytest
 
 import plcsec.metrics as metrics_mod
 from plcsec import (
+    DEFAULT_Q_APPROX,
     ScenarioParams,
     asc_asymptotic,
     asc_asymptotic_large_n,
@@ -65,7 +66,7 @@ def event_inputs(cfg):
 
 
 @lru_cache(maxsize=None)
-def mp_tail_moments(qp, lam: float, sigma: float, m: int):
+def mp_tail_moments(lam: float, sigma: float, m: int):
     """``E[(1 - Qfit(T))^m T^k ; T > 0]`` for k = 0, 1 and ``T ~ N(lam, sigma^2)``.
 
     Binomial expansion of the tail power: each term ``Qfit^n`` times the
@@ -74,7 +75,7 @@ def mp_tail_moments(qp, lam: float, sigma: float, m: int):
     precision of :func:`_precision`.
     """
     with mpmath.workdps(_precision(m)):
-        k1, k2, k3 = mpmath.mpf(qp.k1), mpmath.mpf(qp.k2), mpmath.mpf(qp.k3)
+        k1, k2, k3 = map(mpmath.mpf, DEFAULT_Q_APPROX)
         lam, sigma = mpmath.mpf(lam), mpmath.mpf(sigma)
         inv2 = 1 / (sigma * sigma)
         mass = first = mpmath.mpf(0)
@@ -93,16 +94,15 @@ def mp_tail_moments(qp, lam: float, sigma: float, m: int):
 def mp_closed_forms(name: str, n_dest: int) -> tuple[float, float, float]:
     """(asc_asymptotic, asc_asymptotic_large_n, poi_closed_form) by mpmath sums."""
     cfg = SCENARIOS[name].system_config(n_destinations=n_dest)
-    qp = cfg.q_approx
     with mpmath.workdps(_precision(n_dest)):
-        k1, k2, k3 = mpmath.mpf(qp.k1), mpmath.mpf(qp.k2), mpmath.mpf(qp.k3)
+        k1, k2, k3 = map(mpmath.mpf, DEFAULT_Q_APPROX)
         ln2 = mpmath.log(2)
         # Negative-half-axis single terms: the (N-1)-th destination and N-th
         # eavesdropper completed squares.
         a_b = mpmath.sqrt(2 * (n_dest - 1) * k1 + 1)
         b_b = (n_dest - 1) * k2 / a_b
         d_b = mpmath.exp(-(2 * (n_dest - 1) * k3 - b_b * b_b) / 2)
-        dest_mass, dest_first = mp_tail_moments(qp, 0.0, 1.0, n_dest - 1)
+        dest_mass, dest_first = mp_tail_moments(0.0, 1.0, n_dest - 1)
 
         full = large = poi = mpmath.mpf(0)
         for ev, lam, phi_e, (c0_b, c1_b), (c0_e, c1_e) in event_inputs(cfg):
@@ -111,7 +111,7 @@ def mp_closed_forms(name: str, n_dest: int) -> tuple[float, float, float]:
             a_e = mpmath.sqrt(2 * n_dest * k1 + inv2)
             b_e = (n_dest * k2 + lam * inv2) / a_e
             d_e = mpmath.exp(-(2 * n_dest * k3 + lam * lam * inv2 - b_e * b_e) / 2)
-            eav_mass, eav_first = mp_tail_moments(qp, float(lam), float(phi_e), n_dest)
+            eav_mass, eav_first = mp_tail_moments(float(lam), float(phi_e), n_dest)
 
             dest_minus = n_dest / ln2 * (c0_b * dest_mass + c1_b * dest_first)
             eav_zero = (c0_e + c1_e * lam) / ln2
@@ -145,15 +145,14 @@ def test_integration_error_bounds_gap_to_sums(name, n):
     # Each half-line integral against the alternating sum it replaces; the
     # closed forms' exact single terms are not part of the estimate.
     cfg = SCENARIOS[name].system_config(n_destinations=n)
-    qp = cfg.q_approx
     for _, lam, phi_e, dest_c, eav_c in event_inputs(cfg):
         for shift, scale, m, (c0, c1) in (
             (0.0, 1.0, n - 1, dest_c),
             (lam, phi_e, n, eav_c),
             (lam, phi_e, n, (1.0, 0.0)),
         ):
-            value, error = metrics_mod._tail_power_integral(qp, shift, scale, m, c0, c1)
-            mass, first = mp_tail_moments(qp, shift, scale, m)
+            value, error = metrics_mod._tail_power_integral(shift, scale, m, c0, c1)
+            mass, first = mp_tail_moments(shift, scale, m)
             with mpmath.workdps(_precision(m)):
                 expected = float(c0 * mass + c1 * first)
             assert abs(value - expected) <= error, (shift, scale, m, value, expected)
@@ -161,14 +160,13 @@ def test_integration_error_bounds_gap_to_sums(name, n):
 
 @pytest.mark.parametrize("n", ORACLE_N)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_asymptotes_integration_error_bounds_gap_to_sums(name, n):
-    # Route level: each asymptote's reported estimate covers its whole gap.
-    # poi_closed_form is left out, since its estimate omits the rounding of
-    # the segment term (at sb6-se2-impulsive, N = 1, the gap is ~7e-18
-    # against an estimate of ~1e-22).
+def test_closed_forms_integration_error_bounds_gap_to_sums(name, n):
+    # Route level: each closed form's reported estimate covers its whole gap.
     cfg = SCENARIOS[name].system_config(n_destinations=n)
-    full, large, _ = mp_closed_forms(name, n)
-    for fn, expected in ((asc_asymptotic, full), (asc_asymptotic_large_n, large)):
+    for fn, expected in zip(
+        (asc_asymptotic, asc_asymptotic_large_n, poi_closed_form),
+        mp_closed_forms(name, n),
+    ):
         res = fn(cfg)
         error = res.diagnostics["integration_error"]
         assert abs(res.value - expected) <= error, (fn.__name__, res.value, expected, error)
@@ -179,10 +177,9 @@ def test_tail_integral_is_zero_past_the_window(lam, sigma):
     # With lam / sigma <= -39 the half line T > 0 lies beyond the rule's
     # window: the weight there is below 1e-330, which double precision
     # cannot hold.
-    qp = SCENARIOS["equal-spreads"].system_config().q_approx
     for m in (0, 1, 40):
-        assert metrics_mod._tail_power_integral(qp, lam, sigma, m, 1.0, 1.0) == (0.0, 0.0)
-        mass, first = mp_tail_moments(qp, lam, sigma, m)
+        assert metrics_mod._tail_power_integral(lam, sigma, m, 1.0, 1.0) == (0.0, 0.0)
+        mass, first = mp_tail_moments(lam, sigma, m)
         assert float(mass) == 0.0 and float(first) == 0.0
 
 

@@ -14,7 +14,7 @@ Every analytical route is checked against an independent oracle:
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ def make_config(
         dest_noise=NoiseParams(bg_b, eta_b, p_b),
         eav_noise=NoiseParams(bg_e, eta_e, p_e),
         transmit_power=power,
-        quadrature=gauss_hermite_rule(order),
+        quadrature_order=order,
     )
 
 
@@ -90,6 +90,35 @@ def pinned_gains_config(ga, gn, ge, **kw):
         m_a=math.log(ga), m_b=math.log(gn), m_e=math.log(ge),
         s_a=1e-12, s_b=1e-12, s_e=1e-12, n=1, **kw,
     )
+
+
+class TestSystemConfig:
+    def test_fields_are_the_scenario_power_and_order(self):
+        assert [f.name for f in fields(SystemConfig)] == [
+            "topology", "dest_noise", "eav_noise", "transmit_power", "quadrature_order",
+        ]
+        cfg = make_config()
+        with pytest.raises(TypeError):
+            SystemConfig(cfg.topology, cfg.dest_noise, cfg.eav_noise, 1.0,
+                         q_approx=cfg.q_approx)
+
+    @pytest.mark.parametrize("bad", [0, 201, 2.5, True, "64", [64]])
+    def test_rejects_bad_quadrature_order(self, bad):
+        with pytest.raises(ConfigError, match="quadrature order"):
+            make_config(order=bad)
+
+    def test_equal_scenarios_give_equal_hashable_configs(self):
+        a = ScenarioParams().system_config(quad_order=32)
+        b = ScenarioParams().system_config(quad_order=32)
+        assert a == b and hash(a) == hash(b)
+        assert a != ScenarioParams().system_config()
+        assert {a, b} == {a}
+
+    @pytest.mark.parametrize("order", [1, 32, np.int64(64)])
+    def test_quadrature_is_the_cached_rule(self, order):
+        cfg = make_config(order=order)
+        assert cfg.quadrature is gauss_hermite_rule(cfg.quadrature_order)
+        assert cfg.quadrature.order == order
 
 
 class TestInstantaneousSecrecyCapacity:
@@ -466,9 +495,8 @@ class TestAsymptoticConstants:
         # At m = 0 the completed square must be the bare density of T
         # (a = 1/sigma, b = lam/sigma, d = 1), so both halves add up to the
         # mass 1 and the mean lam.
-        qp = make_config().q_approx
-        mass, _ = _fit_expectation(qp, lam, sigma, 0, 1.0, 0.0)
-        mean, _ = _fit_expectation(qp, lam, sigma, 0, 0.0, 1.0)
+        mass, _ = _fit_expectation(lam, sigma, 0, 1.0, 0.0)
+        mean, _ = _fit_expectation(lam, sigma, 0, 0.0, 1.0)
         assert abs(mass - 1.0) <= 1e-12
         assert abs(mean - lam) <= 1e-12
 

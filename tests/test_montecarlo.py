@@ -21,7 +21,6 @@ from plcsec import (
     PinholeTopology,
     SystemConfig,
     asc_quadrature,
-    gauss_hermite_rule,
     mc_asc,
     mc_poi,
     poi_closed_form,
@@ -79,7 +78,7 @@ def make_config(
         dest_noise=NoiseParams(1.0, eta_b, p_b),
         eav_noise=NoiseParams(1.0, eta_e, p_e),
         transmit_power=power,
-        quadrature=gauss_hermite_rule(64),
+        quadrature_order=64,
     )
 
 

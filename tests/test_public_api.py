@@ -19,7 +19,6 @@ PUBLIC = [
     "NoiseParams",
     "PinholeTopology",
     "PlcsecError",
-    "QApproxParams",
     "QuadratureRule",
     "ScenarioParams",
     "SecrecyResult",
@@ -68,7 +67,7 @@ REMOVED = {
         "instantaneous_secrecy_capacity",
     ],
     "noise": ["alpha_factors", "sample_noise_state"],
-    "special_math": ["expect_standard_normal", "q_approx"],
+    "special_math": ["QApproxParams", "expect_standard_normal", "q_approx"],
 }
 
 MODULES = [

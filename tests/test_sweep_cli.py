@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -86,6 +87,11 @@ class TestSweepSpecValidation:
             small_spec(quadrature_order=0)
         with pytest.raises(ConfigError, match="quadrature order"):
             small_spec(quadrature_order=[64])
+
+    def test_numpy_quadrature_order_dumps_as_int(self):
+        spec = small_spec(quadrature_order=np.int64(32))
+        assert type(spec.quadrature_order) is int
+        assert loads_config(dump_config(spec)) == spec
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -428,21 +434,29 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="system"):
             loads_config(yaml.safe_dump(data))
 
-    def test_destination_axis_values_must_be_whole(self):
-        text = "preset: fig8\nvariant: base\nvalues: [1, {}]\n"
-        with pytest.raises(ConfigError, match=r"values\[1\]"):
-            loads_config(text.format("2.5"))
-        with pytest.raises(ConfigError, match=r"values\[1\]"):
-            loads_config(text.format("true"))
-        values = loads_config(text.format("2.0")).values
-        assert values == (1, 2) and all(type(v) is int for v in values)
+    # The destination axis (fig8) and the scenario's count (fig3) read a
+    # count the same way.
+    COUNT_PLACES = {
+        "values[1]": "preset: fig8\nvariant: base\nvalues: [1, {}]\n",
+        "system.n_destinations":
+            "preset: fig3\nvariant: n10-ph\nsystem:\n  n_destinations: {}\n",
+    }
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("n_destinations", "10.0"), ("n_destinations", "true"),
-         ("n_destinations", '"10"'), ("n_destinations", "0"), ("pinhole", '"no"'),
-         ("pinhole", "1")],
-    )
+    @pytest.mark.parametrize("path", sorted(COUNT_PLACES))
+    def test_whole_float_destination_count_is_read_as_int(self, path):
+        spec = loads_config(self.COUNT_PLACES[path].format("10.0"))
+        counts = spec.values if path.startswith("values") else (spec.base.n_destinations,)
+        assert counts[-1] == 10 and all(type(v) is int for v in counts)
+
+    @pytest.mark.parametrize("value", ["10.5", "true", '"10"', "0", "-2.0", ".inf"])
+    @pytest.mark.parametrize("path", sorted(COUNT_PLACES))
+    def test_bad_destination_count_names_its_path(self, path, value):
+        with pytest.raises(
+            ConfigError, match=rf"^{re.escape(path)}: expected a whole destination count"
+        ):
+            loads_config(self.COUNT_PLACES[path].format(value))
+
+    @pytest.mark.parametrize("key, value", [("pinhole", '"no"'), ("pinhole", "1")])
     def test_scenario_type_errors_carry_system_prefix(self, key, value):
         text = f"preset: fig8\nvariant: base\nsystem:\n  {key}: {value}\n"
         with pytest.raises(ConfigError, match=f"^system: {key} "):
