@@ -137,10 +137,13 @@ def asc_quadrature(
     raw (unclamped) sum is returned: a slightly negative value is a
     quadrature-accuracy diagnostic, not a property of the metric.
 
-    Everything but the rates is power-free and is built once per call.  The
-    four noise events share two SNR factors per side, so each power forms
-    one rate matrix per noise state, two per side, and each event reads
-    the matrices of its states.
+    Everything but ``log1p`` is power-free and is built once per call: the
+    outer products of the shared gain with each side's gain, and the event
+    weights.  Every event reads the rates of one noise state per side and
+    enters the sum linearly, so the four events fold into one weight vector
+    per (side, state), ``sum(sign * P_ev / ln 2 * base_ev)`` over the events
+    in that state.  Each power then scales an outer product, takes its
+    ``log1p`` and one matrix-vector product per (side, state).
 
     With ``powers``, a sequence of linear transmit powers, a list with one
     entry per power is returned: entry ``k`` is bit for bit the result of
@@ -179,30 +182,38 @@ def asc_quadrature(
     base_b = w * sel * normal_cdf((t - lam) / phi_e)
     # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
     base_e = w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
-    terms = list(zip(events, base_b, base_e))
-    alpha_b = {ev.dest_state: ev.alpha_b for ev in events}
-    alpha_e = {ev.eav_state: ev.alpha_e for ev in events}
+    # Per (side, noise state): label, SNR factor, power-free outer product of
+    # the gains, and the weights of its events folded into one vector.
+    scale = np.array([ev.probability for ev in events]) / LN2
+    folded = []
+    for side, outer, weighted, states, alphas in (
+        ("dest_state", np.multiply.outer(x, y), scale[:, None] * base_b,
+         [ev.dest_state for ev in events], [ev.alpha_b for ev in events]),
+        ("eav_state", np.multiply.outer(x, z), -scale[:, None] * base_e,
+         [ev.eav_state for ev in events], [ev.alpha_e for ev in events]),
+    ):
+        for state in (1, 2):
+            rows = [i for i, other in enumerate(states) if other == state]
+            folded.append(
+                (f"{side}={state}", alphas[rows[0]], outer, weighted[rows].sum(axis=0))
+            )
     # One power at a time, into reused buffers: a (powers x nodes x nodes)
     # array would not stay small.
-    rate_b = {state: np.empty((x.size, t.size)) for state in alpha_b}
-    rate_e = {state: np.empty((x.size, t.size)) for state in alpha_e}
+    rate = np.empty((x.size, t.size))
+    partials = np.empty((len(folded), x.size))
 
     def at_power(p: float) -> SecrecyResult | EvaluationError:
-        for state, alpha in alpha_b.items():
-            _rate_matrix(p * alpha, x, y, rate_b[state])
-        for state, alpha in alpha_e.items():
-            _rate_matrix(p * alpha, x, z, rate_e[state])
-        total = 0.0
-        for ev, base_b, base_e in terms:
-            inner = rate_b[ev.dest_state] @ base_b - rate_e[ev.eav_state] @ base_e
-            if not np.all(np.isfinite(inner)):
-                bad = int(np.argmax(~np.isfinite(inner)))
-                return EvaluationError(
-                    "non-finite quadrature term in event "
-                    f"(dest_state={ev.dest_state}, eav_state={ev.eav_state}) "
-                    f"at outer node index {bad}"
-                )
-            total += ev.probability * float(wx @ inner)
+        for (_, alpha, outer, weights), partial in zip(folded, partials):
+            np.multiply(outer, p * alpha, out=rate)
+            np.log1p(rate, out=rate)
+            np.matmul(rate, weights, out=partial)
+        bad = ~np.isfinite(partials)
+        if bad.any():
+            k, i = divmod(int(np.argmax(bad)), x.size)
+            return EvaluationError(
+                f"non-finite quadrature rate ({folded[k][0]}) at outer node index {i}"
+            )
+        total = float(wx @ partials.sum(axis=0))
         diagnostics = {"negative_value": total} if total < 0.0 else {}
         return SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
 
@@ -212,13 +223,6 @@ def asc_quadrature(
     if isinstance(results[0], EvaluationError):
         raise results[0]
     return results[0]
-
-
-def _rate_matrix(snr: float, x: np.ndarray, gain: np.ndarray, out: np.ndarray) -> None:
-    """``log2(1 + snr * x_i * gain_j)`` into ``out``, with no temporary matrix."""
-    np.multiply((snr * x)[:, None], gain[None, :], out=out)
-    np.log1p(out, out=out)
-    out /= LN2
 
 
 def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:

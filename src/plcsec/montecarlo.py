@@ -199,11 +199,17 @@ def _score(power, at_b, gain_b, at_e, gain_e) -> tuple | EvaluationError:
     cs = np.subtract(rate_b, rate_e, out=rate_b)
     np.maximum(cs, 0.0, out=cs)
     cs /= LN2
-    if not np.all(np.isfinite(cs)):
+    # Each clamped sample is >= 0, NaN or +inf, and at most 1024 when
+    # finite, so the sum is finite exactly when every sample is.
+    total = float(cs.sum())
+    if not math.isfinite(total):
         return EvaluationError(
             f"non-finite secrecy sample at trial index {int(np.argmax(~np.isfinite(cs)))}"
         )
-    return float(cs.sum()), float(np.dot(cs, cs))
+    # Squared in place and summed by numpy, not by a BLAS dot product, whose
+    # rounding depends on the BLAS thread count.
+    cs *= cs
+    return total, float(cs.sum())
 
 
 def mc_poi(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:

@@ -41,6 +41,7 @@ from plcsec import (
     q_function,
 )
 from plcsec.metrics import _event_offset, _fit_expectation
+from plcsec.special_math import normal_cdf, normal_log_cdf
 
 LN2 = math.log(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -164,6 +165,38 @@ class TestInstantaneousSecrecyCapacity:
             assert abs(est.value - expected) <= est.ci_halfwidth
 
 
+def asc_quadrature_per_event(cfg, power):
+    """The nested Gauss-Hermite sum of ``asc_quadrature`` taken event by event.
+
+    Each noise event forms its own two rate matrices, each inner sum reads
+    that event's clamp weights, and the events are mixed by probability last.
+    ``asc_quadrature`` folds the event weights per noise state instead, which
+    only reorders the floating-point sum.
+    """
+    dest, eav = effective_links(cfg.topology)
+    n = cfg.topology.n_destinations
+    phi_e = eav.s / dest.s
+    rule = gauss_hermite_rule(cfg.quadrature_order)
+    t, w = rule.nodes, rule.weights
+    if cfg.topology.pinhole_present:
+        src = cfg.topology.source_link
+        x, wx = np.exp(src.s * t + src.m), w
+    else:
+        x, wx = np.ones(1), np.ones(1)
+    y = np.exp(dest.s * t + dest.m)
+    z = np.exp(eav.s * t + eav.m)
+    sel = n * np.exp((n - 1) * normal_log_cdf(t))
+    total = 0.0
+    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
+        lam = _event_offset(ev, dest, eav)
+        base_b = w * sel * normal_cdf((t - lam) / phi_e)
+        base_e = w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
+        rate_b = np.log1p((power * ev.alpha_b * x)[:, None] * y[None, :]) / LN2
+        rate_e = np.log1p((power * ev.alpha_e * x)[:, None] * z[None, :]) / LN2
+        total += ev.probability * float(wx @ (rate_b @ base_b - rate_e @ base_e))
+    return total
+
+
 def asc_oracle_no_shared(cfg):
     """Direct adaptive integration of the clamped-rate expectation.
 
@@ -242,11 +275,35 @@ class TestAscQuadrature:
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("spreads_db", [(6, 6), (2, 6)], ids=["sb6-se6", "sb2-se6"])
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    @pytest.mark.parametrize("order", [32, 64, 160])
+    @pytest.mark.parametrize("prob", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    def test_folded_events_match_per_event_sum(self, pinhole, prob, order, n, spreads_db):
+        db = math.log(10.0) / 10.0
+        cfg = make_config(
+            n=n, pinhole=pinhole, p_b=prob, p_e=prob, order=order,
+            s_b=spreads_db[0] * db, s_e=spreads_db[1] * db,
+        )
+        powers = (0.1, 10.0, 1e3, 1e6)
+        for power, got in zip(powers, asc_quadrature(cfg, powers=powers)):
+            want = asc_quadrature_per_event(cfg, power)
+            assert got.value == pytest.approx(want, rel=4e-15, abs=0.0)
+
     def test_overflowing_inputs_raise_evaluation_error(self):
         cfg = make_config(power=1e308, bg_b=1e-12, bg_e=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError, match="dest_state"):
+                asc_quadrature(cfg)
+
+    def test_eavesdropper_overflow_names_its_noise_state(self):
+        # Only the eavesdropper's rates overflow: its SNR factor is 1e300.
+        cfg = make_config(power=1e6, bg_e=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"\(eav_state=1\) at outer node index"):
                 asc_quadrature(cfg)
 
     @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])

@@ -2,15 +2,20 @@
 cross-agreement with the analytical routes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sps
 from scipy import stats
 
+import plcsec
 import plcsec.montecarlo as mc_mod
 from plcsec import (
     ConfigError,
@@ -135,6 +140,31 @@ class TestMcAsc:
             for w in (1, 1, 3, 7)
         ]
         assert len({(r.value, r.ci_halfwidth) for r in runs}) == 1
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        # A BLAS dot product splits its sum across threads, which moves the
+        # last bits of the CI; the thread count is fixed when BLAS loads, so
+        # each count runs in its own process.
+        code = (
+            "from plcsec import McConfig, ScenarioParams, mc_asc\n"
+            "r = mc_asc(ScenarioParams().system_config(power_db=30.0), "
+            "McConfig(samples=200_000, seed=3))\n"
+            "print(repr(r.value), repr(r.ci_halfwidth))"
+        )
+        src = str(Path(plcsec.__file__).parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_power_axis_matches_calls_one_power_at_a_time(self, workers):
