@@ -29,8 +29,8 @@ from .montecarlo import McConfig, mc_asc, mc_poi
 from .noise import (
     NoiseEvent,
     NoiseParams,
-    alpha_factors_tilde,
     noise_events,
+    noise_states,
 )
 from .presets import available_presets, get_preset
 from .special_math import (
@@ -69,7 +69,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "SystemConfig",
-    "alpha_factors_tilde",
     "asc_asymptotic",
     "asc_asymptotic_large_n",
     "asc_quadrature",
@@ -85,6 +84,7 @@ __all__ = [
     "mc_asc",
     "mc_poi",
     "noise_events",
+    "noise_states",
     "poi_closed_form",
     "poi_quadrature",
     "q_function",

@@ -42,7 +42,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .channel import LinkParams, PinholeTopology, effective_links
 from .errors import ConfigError, EvaluationError
-from .noise import NoiseEvent, NoiseParams, noise_events
+from .noise import NoiseEvent, NoiseParams, noise_events, noise_states
 from .special_math import (
     DEFAULT_Q_APPROX,
     DEFAULT_QUAD_ORDER,
@@ -112,7 +112,12 @@ class SecrecyResult:
 
 def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
     """Standardized mean offset of the eavesdropper contest for one event."""
-    return (eav.m - dest.m + math.log(ev.alpha_e / ev.alpha_b)) / dest.s
+    ratio = ev.alpha_e / ev.alpha_b
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:  # two valid SNR factors whose ratio under- or overflows
+        log_ratio = math.log(ev.alpha_e) - math.log(ev.alpha_b)
+    return (eav.m - dest.m + log_ratio) / dest.s
 
 
 # ---------------------------------------------------------------------------
@@ -176,43 +181,36 @@ def asc_quadrature(
     sel = n * np.exp((n - 1) * normal_log_cdf(t))
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
-    # One row per event, so each CDF below is one call over every event.
-    lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
+    # [dest state, eav state] per event: each CDF below is one call over all.
+    lam = np.array([_event_offset(ev, dest, eav) for ev in events]).reshape(2, 2, 1)
     # Destination side: clamp shows up as the eavesdropper CDF.
     base_b = w * sel * normal_cdf((t - lam) / phi_e)
     # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
     base_e = w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
-    # Per (side, noise state): label, SNR factor, power-free outer product of
-    # the gains, and the weights of its events folded into one vector.
-    scale = np.array([ev.probability for ev in events]) / LN2
+    # Per (side, noise state): SNR factor, power-free outer product of the
+    # gains, and the weights of its events folded into one vector.
+    scale = (np.array([ev.probability for ev in events]) / LN2).reshape(2, 2, 1)
     folded = []
-    for side, outer, weighted, states, alphas in (
-        ("dest_state", np.multiply.outer(x, y), scale[:, None] * base_b,
-         [ev.dest_state for ev in events], [ev.alpha_b for ev in events]),
-        ("eav_state", np.multiply.outer(x, z), -scale[:, None] * base_e,
-         [ev.eav_state for ev in events], [ev.alpha_e for ev in events]),
+    for states, outer, weights in (
+        (noise_states(cfg.dest_noise), np.multiply.outer(x, y), (scale * base_b).sum(axis=1)),
+        (noise_states(cfg.eav_noise), np.multiply.outer(x, z), (-scale * base_e).sum(axis=0)),
     ):
-        for state in (1, 2):
-            rows = [i for i, other in enumerate(states) if other == state]
-            folded.append(
-                (f"{side}={state}", alphas[rows[0]], outer, weighted[rows].sum(axis=0))
-            )
+        folded += [(alpha, outer, row) for (_, alpha), row in zip(states, weights)]
     # One power at a time, into reused buffers: a (powers x nodes x nodes)
     # array would not stay small.
     rate = np.empty((x.size, t.size))
     partials = np.empty((len(folded), x.size))
 
     def at_power(p: float) -> SecrecyResult | EvaluationError:
-        for (_, alpha, outer, weights), partial in zip(folded, partials):
+        for (alpha, outer, weights), partial in zip(folded, partials):
             np.multiply(outer, p * alpha, out=rate)
             np.log1p(rate, out=rate)
             np.matmul(rate, weights, out=partial)
         bad = ~np.isfinite(partials)
         if bad.any():
             k, i = divmod(int(np.argmax(bad)), x.size)
-            return EvaluationError(
-                f"non-finite quadrature rate ({folded[k][0]}) at outer node index {i}"
-            )
+            state = f"{('dest_state', 'eav_state')[k // 2]}={k % 2 + 1}"
+            return EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
         total = float(wx @ partials.sum(axis=0))
         diagnostics = {"negative_value": total} if total < 0.0 else {}
         return SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
@@ -243,14 +241,8 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
     lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
     total = 0.0
+    # Never non-finite: NoiseParams keeps lam finite, so each value is in [0, 1].
     for ev, vals in zip(events, np.exp(n * normal_log_cdf(phi_e * t + lam))):
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise EvaluationError(
-                "non-finite intercept integrand in event "
-                f"(dest_state={ev.dest_state}, eav_state={ev.eav_state}) "
-                f"at node index {bad}"
-            )
         total += ev.probability * float(np.dot(w, vals))
     return SecrecyResult(value=total, method="quadrature")
 

@@ -41,7 +41,7 @@ import numpy as np
 from .channel import effective_links
 from .errors import ConfigError, EvaluationError
 from .metrics import LN2, SecrecyResult, SystemConfig
-from .noise import alpha_factors_tilde
+from .noise import noise_states
 from .special_math import normal_quantile
 
 __all__ = ["McConfig", "mc_asc", "mc_poi"]
@@ -150,10 +150,8 @@ def mc_asc(
     dest, eav = effective_links(topo)
     src = topo.source_link
     n = topo.n_destinations
-    at1b, at2b = alpha_factors_tilde(cfg.dest_noise)
-    at1e, at2e = alpha_factors_tilde(cfg.eav_noise)
-    p_b = cfg.dest_noise.impulse_prob
-    p_e = cfg.eav_noise.impulse_prob
+    (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
+    (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
 
     def run_one(rng: np.random.Generator, m: int) -> list:
         # Fixed draw order per block: shared gain, best destination (one
@@ -224,12 +222,10 @@ def mc_poi(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
     topo = cfg.topology
     dest, eav = effective_links(topo)
     n = topo.n_destinations
-    at1b, at2b = alpha_factors_tilde(cfg.dest_noise)
-    at1e, at2e = alpha_factors_tilde(cfg.eav_noise)
+    (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
+    (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
     log_b = (math.log(at1b), math.log(at2b))
     log_e = (math.log(at1e), math.log(at2e))
-    p_b = cfg.dest_noise.impulse_prob
-    p_e = cfg.eav_noise.impulse_prob
 
     def run_one(rng: np.random.Generator, m: int) -> tuple:
         z_best = _best_of_n_normal(rng, m, n)

@@ -3,34 +3,28 @@
 Each receiver sees ever-present background Gaussian noise of variance
 ``background_var`` plus, with probability ``impulse_prob`` per transmission,
 an independent Gaussian impulsive component ``impulse_ratio`` times stronger.
-The effective noise variance is therefore two-valued:
+So each node class has two noise states, state 1 (background only) and state
+2 (impulse present), tabulated by :func:`noise_states`.  Destination nodes
+share one statistic, the eavesdropper has its own, and the two node classes
+are independent: the four joint events of :func:`noise_events` are the
+product of the two tables.
 
-    background_var                        with prob. 1 - impulse_prob
-    background_var * (1 + impulse_ratio)  with prob. impulse_prob
-
-State 1 means background only, state 2 background plus impulse.  Destination
-nodes share one statistic, the eavesdropper has its own, and arrivals at the
-two node classes are independent, giving four joint events per transmission.
-
-The SNR factors ``alpha~`` are power-free: ``1 / effective noise variance``,
-one per state.  Transmit power multiplies them only where a rate is formed
-(the quadrature and Monte Carlo average secrecy capacity); the asymptotes
-and the intercept probability never see it.
+The SNR factors ``alpha~`` are power-free, ``1 / noise variance`` per state,
+and :class:`NoiseParams` accepts only settings where both are finite and > 0.
+Transmit power multiplies them only where a rate is formed (the quadrature
+and Monte Carlo average secrecy capacity); the asymptotes and the intercept
+probability never see it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
-__all__ = [
-    "NoiseEvent",
-    "NoiseParams",
-    "alpha_factors_tilde",
-    "noise_events",
-]
+__all__ = ["NoiseEvent", "NoiseParams", "noise_events", "noise_states"]
 
 
 @dataclass(frozen=True)
@@ -48,50 +42,38 @@ class NoiseParams:
             raise ConfigError("impulse_ratio must be finite and >= 0")
         if not (0.0 <= self.impulse_prob <= 1.0):
             raise ConfigError("impulse_prob must lie in [0, 1]")
+        (_, a1), (_, a2) = noise_states(self)
+        if not 0.0 < a2 <= a1 < math.inf:
+            raise ConfigError(
+                "background_var and impulse_ratio must give SNR factors in (0, inf)"
+            )
 
 
-@dataclass(frozen=True)
-class NoiseEvent:
-    """One of the four joint impulsive-noise events.
+class NoiseEvent(NamedTuple):
+    """One joint impulsive-noise event: its probability and the power-free
+    SNR factors of the destination's and the eavesdropper's noise state."""
 
-    ``dest_state``/``eav_state`` are 1 (background only) or 2 (impulse
-    present); ``probability`` is the product of the per-node state
-    probabilities; ``alpha_b``/``alpha_e`` are the matching power-free SNR
-    factors from :func:`alpha_factors_tilde`.
-    """
-
-    dest_state: int
-    eav_state: int
     probability: float
     alpha_b: float
     alpha_e: float
 
 
-def alpha_factors_tilde(noise: NoiseParams) -> tuple[float, float]:
-    """Power-free SNR factors ``1/var`` and ``1/(var (1 + ratio))``."""
+def noise_states(noise: NoiseParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``(probability, SNR factor)`` of state 1 and of state 2:
+    ``(1 - p, 1/var)`` and ``(p, 1/(var (1 + ratio)))``."""
     a1 = 1.0 / noise.background_var
-    return a1, a1 / (1.0 + noise.impulse_ratio)
+    p = noise.impulse_prob
+    return (1.0 - p, a1), (p, a1 / (1.0 + noise.impulse_ratio))
 
 
 def noise_events(dest: NoiseParams, eav: NoiseParams) -> list[NoiseEvent]:
-    """The four joint events with probabilities and power-free SNR factors.
+    """The four joint events: the product of the two nodes' state tables.
 
-    Probabilities are ``(1-p_b)(1-p_e)``, ``(1-p_b) p_e``, ``p_b (1-p_e)``
-    and ``p_b p_e``; they sum to 1 exactly up to floating point.
-    """
-    alphas_b = alpha_factors_tilde(dest)
-    alphas_e = alpha_factors_tilde(eav)
-    weights_b = (1.0 - dest.impulse_prob, dest.impulse_prob)
-    weights_e = (1.0 - eav.impulse_prob, eav.impulse_prob)
+    Destination-state-major: event ``k`` has destination state ``k // 2 + 1``
+    and eavesdropper state ``k % 2 + 1``.  The probabilities sum to 1 up to
+    rounding."""
     return [
-        NoiseEvent(
-            dest_state=j,
-            eav_state=k,
-            probability=weights_b[j - 1] * weights_e[k - 1],
-            alpha_b=alphas_b[j - 1],
-            alpha_e=alphas_e[k - 1],
-        )
-        for j in (1, 2)
-        for k in (1, 2)
+        NoiseEvent(pb * pe, ab, ae)
+        for pb, ab in noise_states(dest)
+        for pe, ae in noise_states(eav)
     ]
-

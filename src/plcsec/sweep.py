@@ -120,6 +120,16 @@ class ScenarioParams:
             raise ConfigError("pinhole must be true or false")
         # A plain int keeps the resolved config YAML-dumpable.
         object.__setattr__(self, "n_destinations", int(self.n_destinations))
+        # NoiseParams owns the SNR-factor check; name the fields that failed it.
+        # Built once: the SystemConfig of every point shares them.
+        noise = []
+        for side in ("b", "e"):
+            values = (getattr(self, f"{name}_{side}") for name in ("bg_var", "eta", "p"))
+            try:
+                noise.append(NoiseParams(*values))
+            except ConfigError as exc:
+                raise ConfigError(f"bg_var_{side}/eta_{side}: {exc}") from None
+        object.__setattr__(self, "_noise", tuple(noise))
 
     def system_config(
         self,
@@ -147,16 +157,8 @@ class ScenarioParams:
         )
         return SystemConfig(
             topology=topo,
-            dest_noise=NoiseParams(
-                background_var=self.bg_var_b,
-                impulse_ratio=self.eta_b,
-                impulse_prob=self.p_b,
-            ),
-            eav_noise=NoiseParams(
-                background_var=self.bg_var_e,
-                impulse_ratio=self.eta_e,
-                impulse_prob=self.p_e,
-            ),
+            dest_noise=self._noise[0],
+            eav_noise=self._noise[1],
             transmit_power=power,
             quadrature_order=quad_order,
         )
@@ -246,6 +248,7 @@ def _group_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list
         if (spec.metric, method) == ("asc", "monte-carlo"):
             return mc_asc(cfg, spec.mc, powers=powers)
         if (spec.metric, method) == ("asc", "quadrature"):
+            # Through the table, not the name: perfbench's tracer wraps its entries.
             return _EVALUATORS[("asc", "quadrature")](cfg, powers=powers)
         # Power-free by construction: one evaluation serves every power.
         if method == "monte-carlo":

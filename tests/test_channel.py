@@ -67,6 +67,11 @@ class TestDbConversion:
         with pytest.raises(ConfigError):
             LinkParams(0.0, -1.0)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean(self, m):
+        with pytest.raises(ConfigError, match="LinkParams.m must be finite"):
+            LinkParams(m, 1.0)
+
 
 class TestPinholeTopology:
     def test_rejects_nonpositive_destination_count(self):

@@ -507,6 +507,17 @@ class TestPoiQuadrature:
             1.0 - poi_quadrature(base).value, abs=1e-9
         )
 
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize(
+        "noise",
+        [dict(bg_b=6e-309), dict(bg_e=6e-309), dict(bg_b=1e10, eta_b=1e290),
+         dict(bg_e=1e10, eta_e=1e290), dict(bg_b=6e-309, bg_e=1e10, eta_e=1e290)],
+        ids=["tiny-var-b", "tiny-var-e", "large-ratio-b", "large-ratio-e", "opposite-bounds"],
+    )
+    def test_in_unit_interval_at_the_snr_factor_bounds(self, noise, n):
+        # The smallest and largest SNR factors NoiseParams accepts.
+        assert 0.0 <= poi_quadrature(make_config(n=n, **noise)).value <= 1.0
+
 
 class TestPoiClosedForm:
     @pytest.mark.parametrize("n", [1, 2, 6, 14])
@@ -560,13 +571,25 @@ class TestAsymptoticConstants:
     def test_offset_reflects_noise_states(self):
         cfg = make_config()
         dest, eav = effective_links(cfg.topology)
-        lam = {
-            (ev.dest_state, ev.eav_state): _event_offset(ev, dest, eav)
-            for ev in noise_events(cfg.dest_noise, cfg.eav_noise)
-        }
-        # Impulsive noise at the destination only weakens it by log(1+eta).
-        shift = lam[(2, 1)] - lam[(1, 1)]
+        lam = [
+            _event_offset(ev, dest, eav) for ev in noise_events(cfg.dest_noise, cfg.eav_noise)
+        ]
+        # Impulsive noise at the destination only weakens it by log(1+eta):
+        # events 2 and 0 differ only in the destination's state.
+        shift = lam[2] - lam[0]
         assert shift == pytest.approx(math.log(11.0) / dest.s, rel=1e-12)
+
+    @pytest.mark.parametrize("bg_b, bg_e", [(6e-309, 1e300), (1e300, 6e-309)])
+    def test_offset_survives_a_factor_ratio_out_of_range(self, bg_b, bg_e):
+        # Both SNR factors are valid, but their ratio under- or overflows.
+        cfg = make_config(bg_b=bg_b, bg_e=bg_e, p_b=0.0, p_e=0.0)
+        dest, eav = effective_links(cfg.topology)
+        ev = noise_events(cfg.dest_noise, cfg.eav_noise)[0]
+        assert ev.alpha_e / ev.alpha_b in (0.0, math.inf)
+        want = (eav.m - dest.m + math.log(bg_b) - math.log(bg_e)) / dest.s
+        assert _event_offset(ev, dest, eav) == pytest.approx(want, rel=1e-15)
+        for route in (asc_asymptotic, asc_asymptotic_large_n, poi_closed_form, poi_quadrature):
+            assert math.isfinite(route(cfg).value)
 
 
 class TestPinholeBehaviour:

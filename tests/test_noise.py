@@ -13,28 +13,34 @@ from plcsec import (
     NoiseParams,
     PinholeTopology,
     SystemConfig,
-    alpha_factors_tilde,
     mc_asc,
     mc_poi,
     noise_events,
+    noise_states,
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 
-class TestAlphaFactors:
+def factors(noise):
+    """The power-free SNR factors of state 1 and state 2."""
+    (_, a1), (_, a2) = noise_states(noise)
+    return a1, a2
+
+
+class TestNoiseStates:
     def test_no_impulse_collapses_states(self):
-        a1, a2 = alpha_factors_tilde(NoiseParams(background_var=2.0, impulse_ratio=0.0))
+        a1, a2 = factors(NoiseParams(background_var=2.0, impulse_ratio=0.0))
         assert a1 == a2
 
     def test_reference_setting(self):
-        assert alpha_factors_tilde(NoiseParams(1.0, 10.0, 0.1)) == (1.0, 1.0 / 11.0)
+        assert factors(NoiseParams(1.0, 10.0, 0.1)) == (1.0, 1.0 / 11.0)
 
     @pytest.mark.parametrize("power", [0.5, 1.0, 123.0])
     def test_state_ratio_is_power_free(self, power):
         # The rates scale both factors by the transmit power.
         noise = NoiseParams(background_var=0.3, impulse_ratio=7.0)
-        a1, a2 = (power * a for a in alpha_factors_tilde(noise))
+        a1, a2 = (power * a for a in factors(noise))
         assert a1 / a2 == pytest.approx(1.0 + noise.impulse_ratio, rel=1e-14)
 
     def test_rejects_nonpositive_power(self):
@@ -45,36 +51,48 @@ class TestAlphaFactors:
             with pytest.raises(ConfigError, match="transmit_power must be finite and > 0"):
                 SystemConfig(topo, NoiseParams(), NoiseParams(), transmit_power=power)
 
-
-class TestAlphaFactorsTilde:
     def test_unit_variance_no_impulse(self):
-        assert alpha_factors_tilde(NoiseParams(1.0, 0.0)) == (1.0, 1.0)
+        assert factors(NoiseParams(1.0, 0.0)) == (1.0, 1.0)
 
     def test_reference_values(self):
-        t1, t2 = alpha_factors_tilde(NoiseParams(2.0, 10.0))
+        t1, t2 = factors(NoiseParams(2.0, 10.0))
         assert t1 == pytest.approx(0.5)
         assert t2 == pytest.approx(0.5 / 11.0)
 
+    @given(probabilities)
+    def test_probabilities_are_one_minus_p_then_p(self, p):
+        (p1, _), (p2, _) = noise_states(NoiseParams(impulse_prob=p))
+        assert (p1, p2) == (1.0 - p, p)
+
 
 class TestNoiseEvents:
+    # Event k has destination state k // 2 + 1 and eavesdropper state k % 2 + 1.
+
     def test_no_impulses_single_event(self):
-        events = noise_events(NoiseParams(), NoiseParams())
-        probs = {(e.dest_state, e.eav_state): e.probability for e in events}
-        assert probs[(1, 1)] == 1.0
-        assert probs[(1, 2)] == probs[(2, 1)] == probs[(2, 2)] == 0.0
+        probs = [e.probability for e in noise_events(NoiseParams(), NoiseParams())]
+        assert probs[0] == 1.0
+        assert probs[1] == probs[2] == probs[3] == 0.0
 
     def test_reference_probabilities(self):
         events = noise_events(NoiseParams(impulse_prob=0.1), NoiseParams(impulse_prob=0.1))
         got = [e.probability for e in events]
         assert got == pytest.approx([0.81, 0.09, 0.09, 0.01])
+        # Destination-state-major, the order asc_quadrature's fold relies on.
+        events = noise_events(NoiseParams(impulse_prob=0.1), NoiseParams(impulse_prob=0.3))
+        got = [e.probability for e in events]
+        assert got == pytest.approx([0.63, 0.27, 0.07, 0.03])
 
     def test_alpha_assignment_tracks_states(self):
         dest = NoiseParams(1.0, 10.0, 0.2)
         eav = NoiseParams(4.0, 3.0, 0.7)
-        for ev in noise_events(dest, eav):
-            expect_b = alpha_factors_tilde(dest)[ev.dest_state - 1]
-            expect_e = alpha_factors_tilde(eav)[ev.eav_state - 1]
+        for k, ev in enumerate(noise_events(dest, eav)):
+            expect_b = factors(dest)[k // 2]
+            expect_e = factors(eav)[k % 2]
             assert (ev.alpha_b, ev.alpha_e) == (expect_b, expect_e)
+
+    def test_event_fields(self):
+        ev = noise_events(NoiseParams(), NoiseParams())[0]
+        assert ev._fields == ("probability", "alpha_b", "alpha_e")
 
     @given(probabilities, probabilities)
     def test_probabilities_form_a_distribution(self, p_b, p_e):
@@ -100,7 +118,7 @@ class TestNoiseEvents:
 
     def test_state_two_never_exceeds_state_one(self):
         for eta in (0.0, 1.0, 50.0):
-            a1, a2 = alpha_factors_tilde(NoiseParams(1.0, eta))
+            a1, a2 = factors(NoiseParams(1.0, eta))
             assert a2 <= a1
             assert (a2 == a1) == (eta == 0.0)
 
@@ -113,6 +131,20 @@ class TestNoiseParams:
             NoiseParams(impulse_ratio=-1.0)
         with pytest.raises(ConfigError):
             NoiseParams(impulse_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "var, ratio", [(1e-320, 0.0), (5e-309, 10.0), (1e300, 1e300), (1e100, 1e250)],
+        ids=["inf", "inf-impulsive", "zero-state-2", "zero-state-2-moderate-var"],
+    )
+    def test_rejects_snr_factors_of_zero_or_inf(self, var, ratio):
+        with pytest.raises(ConfigError, match=r"SNR factors in \(0, inf\)"):
+            NoiseParams(background_var=var, impulse_ratio=ratio)
+
+    @pytest.mark.parametrize(
+        "var, ratio", [(6e-309, 0.0), (1e10, 1e290), (1e300, 1e7), (1e10, 1e300)]
+    )
+    def test_accepts_factors_near_the_bounds(self, var, ratio):
+        assert all(0.0 < a < math.inf for a in factors(NoiseParams(var, ratio)))
 
 
 def system(dest_noise, eav_noise, m_b=-4.6, m_e=-9.2, s=1.38, n=4):

@@ -27,7 +27,6 @@ PUBLIC = [
     "SweepSpec",
     "SystemConfig",
     "__version__",
-    "alpha_factors_tilde",
     "asc_asymptotic",
     "asc_asymptotic_large_n",
     "asc_quadrature",
@@ -43,6 +42,7 @@ PUBLIC = [
     "mc_asc",
     "mc_poi",
     "noise_events",
+    "noise_states",
     "poi_closed_form",
     "poi_quadrature",
     "q_function",
@@ -50,8 +50,8 @@ PUBLIC = [
     "run_sweep",
 ]
 
-# Helpers that only tests ever called, and the power-scaled SNR factors that
-# the noise layer no longer forms, by the module that defined them.
+# Helpers that only tests ever called, and the SNR-factor helpers that
+# noise_states replaced, by the module that defined them.
 REMOVED = {
     "channel": [
         "best_destination_cdf",
@@ -66,7 +66,7 @@ REMOVED = {
         "asymptotic_constants",
         "instantaneous_secrecy_capacity",
     ],
-    "noise": ["alpha_factors", "sample_noise_state"],
+    "noise": ["alpha_factors", "alpha_factors_tilde", "sample_noise_state"],
     "special_math": ["QApproxParams", "expect_standard_normal", "q_approx"],
 }
 

@@ -303,6 +303,11 @@ class TestExpectStandardNormal:
 
 
 class TestGaussianSegmentIntegrals:
+    @pytest.mark.parametrize("a, b", [(1.0, math.nan), (math.inf, 0.0)])
+    def test_rejects_non_finite_arguments(self, a, b):
+        with pytest.raises(DomainError, match="requires finite"):
+            gaussian_segment_integrals(a, b)
+
     def test_half_mass_split(self):
         seg = gaussian_segment_integrals(1.0, 0.0)
         assert seg.i_neg == pytest.approx(0.5)

@@ -158,6 +158,15 @@ class TestSweepSpecValidation:
             ScenarioParams(**{name: value})
         assert str(exc.value) == f"{name} {message}"
 
+    @pytest.mark.parametrize(
+        "side, var, ratio", [("b", 1e-320, 10.0), ("b", 1e300, 1e300), ("e", 1e-320, 10.0)]
+    )
+    def test_scenario_rejects_snr_factors_of_zero_or_inf(self, side, var, ratio):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioParams(**{f"bg_var_{side}": var, f"eta_{side}": ratio})
+        assert str(exc.value).startswith(f"bg_var_{side}/eta_{side}: ")
+        assert "SNR factors in (0, inf)" in str(exc.value)
+
     def test_scenario_rejects_non_finite_spread(self):
         with pytest.raises(ConfigError, match="^s_b_db must be finite"):
             ScenarioParams(s_b_db=math.nan)
@@ -404,6 +413,11 @@ class TestConfigFiles:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_all() == specs
 
+    def test_parse_error_without_position(self):
+        # The reader rejects a control character before any mark exists.
+        with pytest.raises(ConfigError, match="^config parse error: unacceptable character #x0007"):
+            loads_config("metric: asc\x07\n")
+
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("metric: asc\n  bad indent: [\n")
@@ -608,6 +622,19 @@ class TestCli:
             assert err.startswith("config error: ") and message in err
             assert "Traceback" not in err
 
+    def test_zero_or_infinite_snr_factor_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "poi.yaml"
+        cfg.write_text(
+            "preset: fig8\nvariant: base\nvalues: [1, 2]\nmethods: [quadrature]\n"
+            "system:\n  dest_noise: {background_var: 1.0e-320}\n"
+        )
+        for command in (["sweep", str(cfg)], ["validate", str(cfg)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: system: bg_var_b/eta_b: ")
+            assert "Traceback" not in captured.err
+
     def test_row_errors_exit_one_but_emit_surviving_rows(self, tmp_path, capsys):
         # 4000 dB passes validation but overflows the linear transmit power
         # at evaluation time, producing a row error while the sweep continues.
@@ -721,6 +748,20 @@ class TestCli:
         assert blocked.returncode == 0, blocked.stderr
         assert plain.returncode == 0, plain.stderr
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_module_entry_point_validates(self, tmp_path, capsys):
+        # ``python -m plcsec.cli`` exits with main's status and prints what main does.
+        cfg = self._write_config(tmp_path)
+        src = str(Path(plcsec.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcsec.cli", "validate", str(cfg)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["validate", str(cfg)]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_entry_point_help(self):
         proc = subprocess.run(
