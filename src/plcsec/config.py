@@ -17,7 +17,7 @@ import yaml
 from .errors import ConfigError
 from .montecarlo import McConfig
 from .noise import NoiseParams
-from .sweep import _REAL_FIELDS, DEFAULT_MC, ScenarioParams, SweepSpec
+from .sweep import _REAL_FIELDS, DEFAULT_MC, _NOISE_FIELDS, ScenarioParams, SweepSpec
 
 __all__ = ["dump_config", "load_config", "loads_config", "spec_to_dict"]
 
@@ -40,16 +40,8 @@ _SYSTEM_FIELDS = {
     "source": {"mean_db": "m_a_db", "sd_db": "s_a_db"},
     "destination": {"mean_db": "m_b_db", "sd_db": "s_b_db"},
     "eavesdropper": {"mean_db": "m_e_db", "sd_db": "s_e_db"},
-    "dest_noise": {
-        "background_var": "bg_var_b",
-        "impulse_ratio": "eta_b",
-        "impulse_prob": "p_b",
-    },
-    "eav_noise": {
-        "background_var": "bg_var_e",
-        "impulse_ratio": "eta_e",
-        "impulse_prob": "p_e",
-    },
+    "dest_noise": _NOISE_FIELDS[0],
+    "eav_noise": _NOISE_FIELDS[1],
 }
 # Keys that must be given, each with all of its leaves.  An omitted
 # ``pinhole`` or ``transmit_power_db`` takes ScenarioParams' default.  The

@@ -33,14 +33,14 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import effective_links
 from .errors import ConfigError, EvaluationError
-from .metrics import LN2, SecrecyResult, SystemConfig
+from .metrics import LN2, SecrecyResult, SystemConfig, power_axis
 from .noise import noise_states
 from .special_math import normal_quantile
 
@@ -143,9 +143,7 @@ def mc_asc(
     transmit_power=powers[k]), mc)``, or the :class:`EvaluationError` that
     call raises.  ``cfg.transmit_power`` is then not used.
     """
-    axis = (cfg.transmit_power,) if powers is None else tuple(powers)
-    for power in axis:
-        replace(cfg, transmit_power=power)  # SystemConfig owns the power check
+    axis = power_axis(cfg, powers)
     topo = cfg.topology
     dest, eav = effective_links(topo)
     src = topo.source_link

@@ -70,6 +70,12 @@ _REAL_FIELDS = (
     "m_a_db", "s_a_db", "m_b_db", "s_b_db", "m_e_db", "s_e_db", "transmit_power_db",
     "p_b", "p_e", "eta_b", "eta_e", "bg_var_b", "bg_var_e",
 )
+# The noise fields of the destinations and of the eavesdropper, each keyed by
+# the NoiseParams field it fills.
+_NOISE_FIELDS = tuple(
+    {"background_var": f"bg_var_{side}", "impulse_ratio": f"eta_{side}", "impulse_prob": f"p_{side}"}
+    for side in ("b", "e")
+)
 
 
 @dataclass(frozen=True)
@@ -105,30 +111,24 @@ class ScenarioParams:
         for name in ("s_a_db", "s_b_db", "s_e_db"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("p_b", "p_e"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        for name in ("eta_b", "eta_e"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("bg_var_b", "bg_var_e"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
         if not is_destination_count(self.n_destinations):
             raise ConfigError("n_destinations must be a positive integer")
         if not isinstance(self.pinhole, bool):
             raise ConfigError("pinhole must be true or false")
         # A plain int keeps the resolved config YAML-dumpable.
         object.__setattr__(self, "n_destinations", int(self.n_destinations))
-        # NoiseParams owns the SNR-factor check; name the fields that failed it.
-        # Built once: the SystemConfig of every point shares them.
+        # NoiseParams owns the range checks of the noise fields; its messages
+        # are renamed to the fields here.  Built once: the SystemConfig of
+        # every point shares them.
         noise = []
-        for side in ("b", "e"):
-            values = (getattr(self, f"{name}_{side}") for name in ("bg_var", "eta", "p"))
+        for names in _NOISE_FIELDS:
             try:
-                noise.append(NoiseParams(*values))
+                noise.append(NoiseParams(**{leaf: getattr(self, name) for leaf, name in names.items()}))
             except ConfigError as exc:
-                raise ConfigError(f"bg_var_{side}/eta_{side}: {exc}") from None
+                message = str(exc)
+                for leaf, name in names.items():
+                    message = message.replace(leaf, name)
+                raise ConfigError(message) from None
         object.__setattr__(self, "_noise", tuple(noise))
 
     def system_config(

@@ -12,14 +12,19 @@ Every analytical route is checked against an independent oracle:
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import plcsec
 from plcsec import (
     ConfigError,
     EvaluationError,
@@ -36,6 +41,7 @@ from plcsec import (
     gauss_hermite_rule,
     mc_asc,
     noise_events,
+    noise_states,
     poi_closed_form,
     poi_quadrature,
     q_function,
@@ -165,17 +171,10 @@ class TestInstantaneousSecrecyCapacity:
             assert abs(est.value - expected) <= est.ci_halfwidth
 
 
-def asc_quadrature_per_event(cfg, power):
-    """The nested Gauss-Hermite sum of ``asc_quadrature`` taken event by event.
-
-    Each noise event forms its own two rate matrices, each inner sum reads
-    that event's clamp weights, and the events are mixed by probability last.
-    ``asc_quadrature`` folds the event weights per noise state instead, which
-    only reorders the floating-point sum.
-    """
+def quadrature_gains(cfg):
+    """Nodes, weights, outer gains and weights, and the two inner gains of
+    ``asc_quadrature``'s rule."""
     dest, eav = effective_links(cfg.topology)
-    n = cfg.topology.n_destinations
-    phi_e = eav.s / dest.s
     rule = gauss_hermite_rule(cfg.quadrature_order)
     t, w = rule.nodes, rule.weights
     if cfg.topology.pinhole_present:
@@ -183,8 +182,22 @@ def asc_quadrature_per_event(cfg, power):
         x, wx = np.exp(src.s * t + src.m), w
     else:
         x, wx = np.ones(1), np.ones(1)
-    y = np.exp(dest.s * t + dest.m)
-    z = np.exp(eav.s * t + eav.m)
+    return t, w, x, wx, np.exp(dest.s * t + dest.m), np.exp(eav.s * t + eav.m)
+
+
+def asc_quadrature_per_event(cfg, power):
+    """The nested Gauss-Hermite sum of ``asc_quadrature`` taken event by event.
+
+    Each noise event forms its own two full rate matrices, each inner sum
+    reads that event's clamp weights, and the events are mixed by
+    probability last.  ``asc_quadrature`` folds the event weights per noise
+    state and skips the pairs whose weight cannot reach the sum instead,
+    which only reorders the floating-point sum and drops terms far below it.
+    """
+    dest, eav = effective_links(cfg.topology)
+    n = cfg.topology.n_destinations
+    phi_e = eav.s / dest.s
+    t, w, x, wx, y, z = quadrature_gains(cfg)
     sel = n * np.exp((n - 1) * normal_log_cdf(t))
     total = 0.0
     for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
@@ -195,6 +208,26 @@ def asc_quadrature_per_event(cfg, power):
         rate_e = np.log1p((power * ev.alpha_e * x)[:, None] * z[None, :]) / LN2
         total += ev.probability * float(wx @ (rate_b @ base_b - rate_e @ base_e))
     return total
+
+
+def full_grid_error(cfg, power):
+    """The message of the first non-finite rate on the full (outer x inner)
+    grid at one power, or None.
+
+    Every pair's rate ``log1p(x_i g_j (power alpha))`` is formed, in the
+    order ``asc_quadrature`` reports: the destination's noise states, then
+    the eavesdropper's, and by outer node within each.
+    """
+    _, _, x, _, y, z = quadrature_gains(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, noise, g in (("dest_state", cfg.dest_noise, y), ("eav_state", cfg.eav_noise, z)):
+            for state, (_, alpha) in enumerate(noise_states(noise), 1):
+                rate = np.log1p(np.multiply.outer(x, g) * (power * alpha))
+                bad = ~np.isfinite(rate).all(axis=1)
+                if bad.any():
+                    index = int(np.argmax(bad))
+                    return f"non-finite quadrature rate ({side}={state}) at outer node index {index}"
+    return None
 
 
 def asc_oracle_no_shared(cfg):
@@ -275,7 +308,9 @@ class TestAscQuadrature:
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("spreads_db", [(6, 6), (2, 6)], ids=["sb6-se6", "sb2-se6"])
+    @pytest.mark.parametrize(
+        "spreads_db", [(6, 6), (2, 6), (20, 20)], ids=["sb6-se6", "sb2-se6", "sb20-se20"]
+    )
     @pytest.mark.parametrize("n", [1, 10, 1000])
     @pytest.mark.parametrize("order", [32, 64, 160])
     @pytest.mark.parametrize("prob", [0.0, 0.1, 1.0])
@@ -286,10 +321,49 @@ class TestAscQuadrature:
             n=n, pinhole=pinhole, p_b=prob, p_e=prob, order=order,
             s_b=spreads_db[0] * db, s_e=spreads_db[1] * db,
         )
-        powers = (0.1, 10.0, 1e3, 1e6)
+        # At 1e-6 the value is tiny, so a skipped pair would show there first.
+        powers = (1e-6, 0.1, 10.0, 1e3, 1e6)
         for power, got in zip(powers, asc_quadrature(cfg, powers=powers)):
             want = asc_quadrature_per_event(cfg, power)
             assert got.value == pytest.approx(want, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [64, 160])
+    def test_skipped_pairs_never_hide_or_move_an_error(self, order, pinhole):
+        # 60 dB spreads: the outer products span ~1e+-200, so these powers
+        # overflow the rates of some rows, in pairs that are skipped too (at
+        # order 160 with the pinhole all three do, first at rows 129, 117, 91).
+        db = math.log(10.0) / 10.0
+        cfg = make_config(order=order, pinhole=pinhole, s_a=60 * db, s_b=60 * db, s_e=60 * db)
+        powers = (1e90, 1e110, 1e150)
+        for power, got in zip(powers, asc_quadrature(cfg, powers=powers)):
+            message = full_grid_error(cfg, power)
+            if message is None:
+                want = asc_quadrature_per_event(cfg, power)
+                assert got.value == pytest.approx(want, rel=4e-15, abs=0.0)
+            else:
+                assert isinstance(got, EvaluationError) and str(got) == message
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            {"m_a": -800.0}, {"m_b": -800.0}, {"m_e": -800.0}, {"m_a": -700.0, "m_b": -30.0},
+            {"m_a": -800.0, "s_a": 6 * math.log(10.0)}, {"m_e": -800.0, "s_e": 6 * math.log(10.0)},
+        ],
+        ids=[
+            "source", "destination", "eavesdropper", "source-and-destination",
+            "source-60dB", "eavesdropper-60dB",
+        ],
+    )
+    def test_gains_that_underflow_at_the_reference_pair(self, links):
+        # The largest-weight pair's gain underflows to 0, which the kept-pair
+        # bound divides by; that may widen the kept blocks, never warn.  With
+        # a 60 dB spread the upper nodes' gains do not underflow, and their
+        # pairs must stay.
+        cfg = make_config(**links)
+        assert asc_quadrature(cfg).value == pytest.approx(
+            asc_quadrature_per_event(cfg, cfg.transmit_power), rel=4e-15, abs=0.0
+        )
 
     def test_overflowing_inputs_raise_evaluation_error(self):
         cfg = make_config(power=1e308, bg_b=1e-12, bg_e=1e-12)
@@ -329,6 +403,32 @@ class TestAscQuadrature:
     def test_power_axis_rejects_bad_powers(self, bad):
         with pytest.raises(ConfigError, match="transmit_power"):
             asc_quadrature(make_config(), powers=(1.0, bad))
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        # The thread count is fixed when BLAS loads, so each count runs in
+        # its own process; the sum must not go through a BLAS reduction.
+        code = (
+            "from plcsec import ScenarioParams, asc_quadrature\n"
+            "powers = [10.0 ** (k / 4) for k in range(-4, 25)]\n"
+            "for order in (64, 160, 200):\n"
+            "    for n in (10, 1000):\n"
+            "        cfg = ScenarioParams(n_destinations=n).system_config(quad_order=order)\n"
+            "        print([r.value.hex() for r in asc_quadrature(cfg, powers=powers)])\n"
+        )
+        src = str(Path(plcsec.__file__).parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_power_axis_peak_memory_stays_small(self):
         # One power at a time: a (powers x nodes x nodes) array would be 57 MB.
