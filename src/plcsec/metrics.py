@@ -10,9 +10,10 @@ provided for its average:
   positivity clamp is encoded in the integration limits, which surface as a
   log-normal CDF factor inside each inner integrand; residual negativity of
   the result therefore indicates quadrature error and is reported, not
-  clipped.  A node pair whose term provably stays below ``1e-20`` times the
-  largest-weight term of its (side, noise state) at every power is skipped,
-  which moves the sum by less than its own rounding.
+  clipped.  The sum runs, per side, over the pairs of the outer and inner
+  nodes that hold a pair whose term can exceed ``1e-20`` times the
+  largest-weight term of its (side, noise state) at some power; the pairs
+  left out move it by less than its own rounding.
 * ``asc_asymptotic`` / ``asc_asymptotic_large_n`` -- closed forms for the
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
@@ -82,7 +83,7 @@ class SystemConfig:
     """Everything needed to evaluate the secrecy metrics of one scenario.
 
     ``quadrature_order`` sets the Gauss-Hermite rule of the quadrature
-    routes; the closed forms all integrate the one Q-fit ``q_approx``.
+    routes; the closed forms all integrate the one Q-fit ``DEFAULT_Q_APPROX``.
     """
 
     topology: PinholeTopology
@@ -108,7 +109,7 @@ class SecrecyResult:
 
     ``ci_halfwidth`` is nonzero only for Monte Carlo estimates.
     ``diagnostics`` carries accuracy indicators: the closed forms'
-    ``integration_error`` (error estimate of their half-line integrals) or a
+    ``integration_error`` (error estimate of the whole closed form) or a
     negative quadrature value.
     """
 
@@ -146,11 +147,11 @@ def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
 _SKIP_EPS = 1e-20
 
 
-def _kept_blocks(
+def _kept_nodes(
     wx: np.ndarray, x: np.ndarray, weights: np.ndarray, gains: np.ndarray
-) -> list[tuple[slice, slice]]:
-    """Per side, the (rows, columns) block of the outer product that spans
-    the pairs of both its noise states that ``_SKIP_EPS`` keeps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the outer and of the inner nodes that hold a pair ``_SKIP_EPS``
+    keeps, row ``s`` of each for side ``s`` over both its noise states.
 
     ``wx`` and ``x`` are the outer weights and gains.  Row ``k`` of
     ``weights`` and ``gains`` holds segment ``k``'s inner weights and gains:
@@ -170,16 +171,7 @@ def _kept_blocks(
     wg = w * (gains / gains[np.arange(len(w)), j, None])
     rows = np.fmax(u, ux * np.fmax.reduce(wg, axis=1, keepdims=True)) > _SKIP_EPS
     cols = np.fmax(w, wg * np.fmax.reduce(ux)) > _SKIP_EPS
-    blocks = []
-    for r, c in zip(*((m[0::2] | m[1::2]).tolist() for m in (rows, cols))):
-        if True in r and True in c:
-            blocks.append((
-                slice(r.index(True), len(r) - r[::-1].index(True)),
-                slice(c.index(True), len(c) - c[::-1].index(True)),
-            ))
-        else:
-            blocks.append((slice(0, 0), slice(0, 0)))
-    return blocks
+    return rows[0::2] | rows[1::2], cols[0::2] | cols[1::2]
 
 
 @lru_cache(maxsize=32)
@@ -205,7 +197,7 @@ def power_axis(cfg: SystemConfig, powers: Sequence[float] | None) -> tuple[float
 
 # An overflowing gain or rate leaves a non-finite term, which raises the
 # EvaluationError below; numpy's warning would only repeat it.  A gain that
-# under- or overflows at the reference pair only widens the kept blocks.
+# under- or overflows at the reference pair only adds kept nodes.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def asc_quadrature(
     cfg: SystemConfig, *, powers: Sequence[float] | None = None
@@ -229,13 +221,13 @@ def asc_quadrature(
     inner node) pair.  Most pairs carry a weight far below rounding: the
     shared gain's tail nodes, the destination nodes where ``N Phi^(N-1)``
     has vanished, the eavesdropper nodes past its clamp.  A power-free bound
-    (``_SKIP_EPS``) skips them: per side, only the block of outer x inner
-    nodes that holds a pair able to move the sum at some power is kept,
-    about 47% of all pairs at order 64 with a pinhole (61% without) and 19%
-    at order 160.  Each power then scales the block's gains, takes one
-    ``log1p`` and one weighted sum over the kept pairs.  A power fails with
-    :class:`EvaluationError` when the rate of any pair, kept or skipped, is
-    non-finite; the largest gain of each row decides that.
+    (``_SKIP_EPS``) skips them: per side, only the outer and inner nodes
+    that hold a pair able to move the sum at some power are kept, and their
+    pairs are about 47% of all pairs at order 64 with a pinhole (61%
+    without) and 19% at order 160.  Each power then scales the kept gains,
+    takes one ``log1p`` and one weighted sum over the kept pairs.  A power
+    fails with :class:`EvaluationError` when the rate of any pair, kept or
+    skipped, is non-finite; the largest gain of each row decides that.
 
     With ``powers``, a sequence of linear transmit powers, a list with one
     entry per power is returned: entry ``k`` is bit for bit the result of
@@ -284,19 +276,19 @@ def asc_quadrature(
     g_max = [float(y.max())] * 2 + [float(z.max())] * 2
     x_max = float(x.max())
     peaks = [x_max * g for g in g_max]
-    # Per side, the gains of its kept block and the folded weights of its two
+    # Per side, the gains of its kept pairs and the folded weights of its two
     # noise states there, built once; at each power the rates go to a reused
     # buffer, since a (powers x pairs) array would not stay small.
-    gains, coefs = [], []
-    for (rows, cols), g, side in zip(
-        _kept_blocks(wx, x, weights, np.array([y, y, z, z])), (y, z), (weights[:2], weights[2:])
-    ):
-        gains.append(np.multiply.outer(x[rows], g[cols]).ravel())
-        coefs.append((side[:, None, cols] * wx[rows, None]).ravel())
-    split = 2 * gains[0].size
-    coefs = np.concatenate(coefs)
+    (rows_b, rows_e), (cols_b, cols_e) = _kept_nodes(wx, x, weights, np.array([y, y, z, z]))
+    gains_b = np.multiply.outer(x[rows_b], y[cols_b]).ravel()
+    gains_e = np.multiply.outer(x[rows_e], z[cols_e]).ravel()
+    coefs = np.concatenate([
+        (weights[:2, None, cols_b] * wx[rows_b, None]).ravel(),
+        (weights[2:, None, cols_e] * wx[rows_e, None]).ravel(),
+    ])
+    split = 2 * gains_b.size
     rate = np.empty_like(coefs)
-    parts = [rate[:split].reshape(2, -1), rate[split:].reshape(2, -1)]
+    out_b, out_e = rate[:split].reshape(2, -1), rate[split:].reshape(2, -1)
 
     def at_power(p: float) -> SecrecyResult | EvaluationError:
         scaled = [p * alpha for alpha in alphas]
@@ -308,8 +300,8 @@ def asc_quadrature(
             k, i = divmod(int(np.argmax(bad)), x.size)
             state = f"{('dest_state', 'eav_state')[k // 2]}={k % 2 + 1}"
             return EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
-        np.multiply.outer(scaled[:2], gains[0], out=parts[0])
-        np.multiply.outer(scaled[2:], gains[1], out=parts[1])
+        np.multiply.outer(scaled[:2], gains_b, out=out_b)
+        np.multiply.outer(scaled[2:], gains_e, out=out_e)
         np.log1p(rate, out=rate)
         # Summed by numpy, not by a BLAS dot product, whose rounding depends
         # on the BLAS thread count.
@@ -342,10 +334,12 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
     lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
-    total = 0.0
     # Never non-finite: NoiseParams keeps lam finite, so each value is in [0, 1].
-    for ev, vals in zip(events, np.exp(n * normal_log_cdf(phi_e * t + lam))):
-        total += ev.probability * float(np.dot(w, vals))
+    # Summed by numpy, not by a BLAS dot product (see asc_quadrature).
+    contest = (w * np.exp(n * normal_log_cdf(phi_e * t + lam))).sum(axis=1)
+    total = 0.0
+    for ev, value in zip(events, contest):
+        total += ev.probability * float(value)
     return SecrecyResult(value=total, method="quadrature")
 
 

@@ -46,7 +46,7 @@ from plcsec import (
     poi_quadrature,
     q_function,
 )
-from plcsec.metrics import _event_offset, _fit_expectation
+from plcsec.metrics import _SKIP_EPS, _event_offset, _fit_expectation, _kept_nodes
 from plcsec.special_math import normal_cdf, normal_log_cdf
 
 LN2 = math.log(2.0)
@@ -210,6 +210,24 @@ def asc_quadrature_per_event(cfg, power):
     return total
 
 
+def folded_weights(cfg):
+    """Inner weights of each (side, noise state) segment, destination states
+    first: each event's clamp weights, signed and scaled by its probability
+    over ln 2, summed over the events in that state."""
+    dest, eav = effective_links(cfg.topology)
+    n = cfg.topology.n_destinations
+    phi_e = eav.s / dest.s
+    t, w, *_ = quadrature_gains(cfg)
+    sel = n * np.exp((n - 1) * normal_log_cdf(t))
+    out = np.zeros((4, t.size))
+    for k, ev in enumerate(noise_events(cfg.dest_noise, cfg.eav_noise)):
+        lam = _event_offset(ev, dest, eav)
+        scale = ev.probability / LN2
+        out[k // 2] += scale * w * sel * normal_cdf((t - lam) / phi_e)
+        out[2 + k % 2] -= scale * w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
+    return out
+
+
 def full_grid_error(cfg, power):
     """The message of the first non-finite rate on the full (outer x inner)
     grid at one power, or None.
@@ -327,6 +345,48 @@ class TestAscQuadrature:
             want = asc_quadrature_per_event(cfg, power)
             assert got.value == pytest.approx(want, rel=4e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "spreads_db", [(6, 6), (2, 6), (60, 60)], ids=["sb6-se6", "sb2-se6", "sb60-se60"]
+    )
+    @pytest.mark.parametrize("order", [32, 64, 160, 200])
+    @pytest.mark.parametrize("prob", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    def test_kept_nodes_hold_every_pair_the_bound_keeps(self, pinhole, prob, order, spreads_db):
+        # Pair (i, j) of a segment has weight c = wx_i W_j and gain
+        # v = x_i g_j; against the largest-|c| pair its skip factor is
+        # |c| max(1, v / v_ref) / |c_ref|.  Every pair whose factor exceeds
+        # _SKIP_EPS (by more than the rounding of the two ways of forming
+        # it) must lie in its side's kept rows x kept columns.
+        db = math.log(10.0) / 10.0
+        cfg = make_config(
+            pinhole=pinhole, p_b=prob, p_e=prob, order=order,
+            s_b=spreads_db[0] * db, s_e=spreads_db[1] * db,
+        )
+        _, _, x, wx, y, z = quadrature_gains(cfg)
+        weights = folded_weights(cfg)
+        gains = np.array([y, y, z, z])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows, cols = _kept_nodes(wx, x, weights, gains)
+        for k in np.flatnonzero(weights.any(axis=1)):  # a state of probability 0 has none
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = np.abs(np.multiply.outer(wx, weights[k]))
+                v = np.multiply.outer(x, gains[k])
+                ref = np.unravel_index(c.argmax(), c.shape)
+                factor = c * np.fmax(1.0, v / v[ref]) / c[ref]
+            needed = factor > _SKIP_EPS * (1.0 + 1e-9)
+            assert needed[ref]
+            assert not (needed & ~np.multiply.outer(rows[k // 2], cols[k // 2])).any()
+
+    @pytest.mark.parametrize("order", [64, 160])
+    def test_a_side_with_no_kept_node(self, order):
+        # 350 dB above the destination the eavesdropper always wins, so
+        # every folded weight of both sides is 0 and no pair is kept.
+        cfg = ScenarioParams(m_e_db=350.0).system_config(quad_order=order)
+        assert not folded_weights(cfg).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert asc_quadrature(cfg).value == 0.0
+
     @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
     @pytest.mark.parametrize("order", [64, 160])
     def test_skipped_pairs_never_hide_or_move_an_error(self, order, pinhole):
@@ -357,7 +417,7 @@ class TestAscQuadrature:
     )
     def test_gains_that_underflow_at_the_reference_pair(self, links):
         # The largest-weight pair's gain underflows to 0, which the kept-pair
-        # bound divides by; that may widen the kept blocks, never warn.  With
+        # bound divides by; that may add kept nodes, never warn.  With
         # a 60 dB spread the upper nodes' gains do not underflow, and their
         # pairs must stay.
         cfg = make_config(**links)
@@ -406,14 +466,16 @@ class TestAscQuadrature:
 
     def test_bit_identical_across_blas_thread_counts(self):
         # The thread count is fixed when BLAS loads, so each count runs in
-        # its own process; the sum must not go through a BLAS reduction.
+        # its own process; neither quadrature route may sum through a BLAS
+        # reduction.
         code = (
-            "from plcsec import ScenarioParams, asc_quadrature\n"
+            "from plcsec import ScenarioParams, asc_quadrature, poi_quadrature\n"
             "powers = [10.0 ** (k / 4) for k in range(-4, 25)]\n"
             "for order in (64, 160, 200):\n"
             "    for n in (10, 1000):\n"
             "        cfg = ScenarioParams(n_destinations=n).system_config(quad_order=order)\n"
             "        print([r.value.hex() for r in asc_quadrature(cfg, powers=powers)])\n"
+            "        print(poi_quadrature(cfg).value.hex())\n"
         )
         src = str(Path(plcsec.__file__).parents[1])
         outputs = set()
