@@ -13,7 +13,8 @@ provided for its average:
   clipped.  The sum runs, per side, over the pairs of the outer and inner
   nodes that hold a pair whose term can exceed ``1e-20`` times the
   largest-weight term of its (side, noise state) at some power; the pairs
-  left out move it by less than its own rounding.
+  left out move it by less than its own rounding.  A power axis is checked
+  for overflow at once and takes its rates in blocks of powers.
 * ``asc_asymptotic`` / ``asc_asymptotic_large_n`` -- closed forms for the
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
@@ -145,6 +146,11 @@ def _event_offset(ev: NoiseEvent, dest: LinkParams, eav: LinkParams) -> float:
 # sum(|c| r) at order 200 (40000 pairs), under the rounding bound of the
 # sum itself, log2(#pairs) * 2^-53 of it.
 _SKIP_EPS = 1e-20
+# Elements of the rate buffer of one block of powers (256 KiB).  A block
+# shares its numpy calls among 4 powers at order 64 with a pinhole and
+# about 200 without one; twice the size raised the peak resident memory of
+# a run of 17 power curves (perfbench's quadrature-grid) by about 0.5 MiB.
+_RATE_BLOCK = 1 << 15
 
 
 def _kept_nodes(
@@ -224,10 +230,13 @@ def asc_quadrature(
     (``_SKIP_EPS``) skips them: per side, only the outer and inner nodes
     that hold a pair able to move the sum at some power are kept, and their
     pairs are about 47% of all pairs at order 64 with a pinhole (61%
-    without) and 19% at order 160.  Each power then scales the kept gains,
-    takes one ``log1p`` and one weighted sum over the kept pairs.  A power
-    fails with :class:`EvaluationError` when the rate of any pair, kept or
-    skipped, is non-finite; the largest gain of each row decides that.
+    without) and 19% at order 160.  A power fails with
+    :class:`EvaluationError` when the rate of any pair, kept or skipped, is
+    non-finite; the largest gain of each segment decides that for every
+    power at once, and the largest gain of each row names the failing node.
+    The powers then go in blocks of ``_RATE_BLOCK // pairs`` (at least
+    one): a block scales the kept gains into one reused (powers x pairs)
+    buffer and takes one ``log1p`` and one weighted sum per power over it.
 
     With ``powers``, a sequence of linear transmit powers, a list with one
     entry per power is returned: entry ``k`` is bit for bit the result of
@@ -273,12 +282,10 @@ def asc_quadrature(
     # largest gain of a segment's outer product, and it is NaN or inf when a
     # NaN (0 * inf) gain occurs.  fl(v s) is monotone in v too: at a power, a
     # segment has a non-finite rate exactly when its largest gain's is.
-    g_max = [float(y.max())] * 2 + [float(z.max())] * 2
-    x_max = float(x.max())
-    peaks = [x_max * g for g in g_max]
+    g_max = np.array([y.max()] * 2 + [z.max()] * 2)
+    peaks = x.max() * g_max
     # Per side, the gains of its kept pairs and the folded weights of its two
-    # noise states there, built once; at each power the rates go to a reused
-    # buffer, since a (powers x pairs) array would not stay small.
+    # noise states there, built once.
     (rows_b, rows_e), (cols_b, cols_e) = _kept_nodes(wx, x, weights, np.array([y, y, z, z]))
     gains_b = np.multiply.outer(x[rows_b], y[cols_b]).ravel()
     gains_e = np.multiply.outer(x[rows_e], z[cols_e]).ravel()
@@ -287,29 +294,39 @@ def asc_quadrature(
         (weights[2:, None, cols_e] * wx[rows_e, None]).ravel(),
     ])
     split = 2 * gains_b.size
-    rate = np.empty_like(coefs)
-    out_b, out_e = rate[:split].reshape(2, -1), rate[split:].reshape(2, -1)
 
-    def at_power(p: float) -> SecrecyResult | EvaluationError:
-        scaled = [p * alpha for alpha in alphas]
-        if not all(math.isfinite(peak * s) for peak, s in zip(peaks, scaled)):
-            # Row i of a segment holds gains up to x_i max(g), by the same
-            # monotonicity.
-            row_max = np.multiply.outer(g_max, x)
-            bad = ~np.isfinite(row_max * np.array(scaled)[:, None])
-            k, i = divmod(int(np.argmax(bad)), x.size)
-            state = f"{('dest_state', 'eav_state')[k // 2]}={k % 2 + 1}"
-            return EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
-        np.multiply.outer(scaled[:2], gains_b, out=out_b)
-        np.multiply.outer(scaled[2:], gains_e, out=out_e)
-        np.log1p(rate, out=rate)
+    # Row k holds power k's SNR factor per segment, p * alpha.
+    scaled = np.multiply.outer(axis, alphas)
+    errors = {}
+    for k in np.flatnonzero(~np.isfinite(scaled * peaks).all(axis=1)).tolist():
+        # Row i of a segment holds gains up to x_i max(g), by the same
+        # monotonicity.
+        bad = ~np.isfinite(np.multiply.outer(g_max, x) * scaled[k, :, None])
+        seg, i = divmod(int(np.argmax(bad)), x.size)
+        state = f"{('dest_state', 'eav_state')[seg // 2]}={seg % 2 + 1}"
+        errors[k] = EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
+    # The rates of a block of powers go to a reused buffer, since a
+    # (powers x pairs) array would not stay small.
+    block = max(1, min(len(axis), _RATE_BLOCK // max(coefs.size, 1)))
+    rate = np.empty((block, coefs.size))
+    out_b = rate[:, :split].reshape(block, 2, gains_b.size)
+    out_e = rate[:, split:].reshape(block, 2, gains_e.size)
+    results: list[SecrecyResult | EvaluationError] = []
+    for start in range(0, len(axis), block):
+        factors = scaled[start:start + block, :, None]
+        chunk = rate[:len(factors)]
+        np.multiply(factors[:, :2], gains_b, out=out_b[:len(factors)])
+        np.multiply(factors[:, 2:], gains_e, out=out_e[:len(factors)])
+        np.log1p(chunk, out=chunk)
         # Summed by numpy, not by a BLAS dot product, whose rounding depends
         # on the BLAS thread count.
-        total = float(np.multiply(rate, coefs, out=rate).sum())
-        diagnostics = {"negative_value": total} if total < 0.0 else {}
-        return SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
+        for total in np.multiply(chunk, coefs, out=chunk).sum(axis=1).tolist():
+            diagnostics = {"negative_value": total} if total < 0.0 else {}
+            results.append(SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics))
+    # A failing power's sum is dropped for its error.
+    for k, error in errors.items():
+        results[k] = error
 
-    results = [at_power(p) for p in axis]
     if powers is not None:
         return results
     if isinstance(results[0], EvaluationError):

@@ -6,11 +6,11 @@ Four building blocks live here:
   standard normal CDF Phi, its logarithm and its inverse, vectorized over
   numpy arrays on the standard library alone.  The CDF and log-CDF take
   one ``math.erfc`` call per element; the quantile is Wichura's AS241.
-* ``q_function`` -- the upper-tail probability Q(t) of a standard normal,
-  evaluated through ``erfc`` so that the tail keeps its relative accuracy
-  instead of collapsing to ``1 - Phi(t)`` cancellation noise.  Q underflows
-  to subnormals near t = 37.5 and to exactly 0 near t = 38.5;
-  ``normal_log_cdf`` goes on past that.
+* ``q_function`` -- the upper-tail probability Q(t) of a standard normal
+  at a scalar t, evaluated through ``erfc`` so that the tail keeps its
+  relative accuracy instead of collapsing to ``1 - Phi(t)`` cancellation
+  noise.  Q underflows to subnormals near t = 37.5 and to exactly 0 near
+  t = 38.5; ``normal_log_cdf`` goes on past that.
 * Gauss-Hermite rules in the *probabilists'* normalization, i.e. nodes and
   weights such that ``sum(w_i * f(z_i))`` approximates ``E[f(Z)]`` for a
   standard normal Z.  ``hermgauss`` supplies the physicists' rule for
@@ -230,23 +230,23 @@ def normal_quantile(p) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-def q_function(t):
+def q_function(t: float) -> float:
     """Upper-tail probability ``Q(t) = Pr[Z > t]`` of a standard normal.
 
-    Accepts a scalar or array.  Uses ``erfc``, and from |t| = 20 on the
-    asymptotic series of :func:`normal_cdf`, so the tail keeps its relative
-    accuracy until it underflows: to subnormals near t = 37.5 and to exactly
-    0 near t = 38.5 (``q_function(40.0) == 0.0``); it never goes negative.
-    A scalar with |t| <= 20 costs one ``math.erfc`` call.
+    Takes a real scalar; for an array, use ``normal_cdf(-t)``, which gives
+    the same values.  Uses ``erfc``, and from |t| = 20 on the asymptotic
+    series of :func:`normal_cdf`, so the tail keeps its relative accuracy
+    until it underflows: to subnormals near t = 37.5 and to exactly 0 near
+    t = 38.5 (``q_function(40.0) == 0.0``); it never goes negative.  With
+    |t| <= 20 it costs one ``math.erfc`` call.
     """
-    if isinstance(t, (float, int, np.floating, np.integer)) and abs(t) <= _SERIES_FROM:
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError("q_function requires finite input")
+    if abs(t) <= _SERIES_FROM:
         q = 0.5 * math.erfc(abs(t) * SQRT1_2)
         return q if t >= 0.0 else 1.0 - q
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("q_function requires finite input")
-    out = normal_cdf(-arr)
-    return float(out) if arr.ndim == 0 else out
+    return float(normal_cdf(-t))
 
 
 def checked_quad_order(order) -> int:

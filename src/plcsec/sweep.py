@@ -13,12 +13,13 @@ correlated, each point's CI stays valid on its own, and a row depends only
 on the samples, the seed, the scenario and its axis value.
 
 A sweep groups the points that differ only in transmit power, so a power
-axis is one group and each destination count a group of its own, and every
-route runs once per group: the Monte Carlo ASC draws its trials once and
-scores every power, the quadrature ASC builds its power-free vectors once
-and forms only the rates per power, and the routes that do not depend on
-power (all POI methods and both asymptotes) serve every power with one
-value.
+axis is one group and each destination count a group of its own.  A group
+builds one configuration; the later powers of a power axis are only
+converted from dB.  Every route runs once per group: the Monte Carlo ASC
+draws its trials once and scores every power, the quadrature ASC builds its
+power-free vectors once and forms only the rates of each block of powers,
+and the routes that do not depend on power (all POI methods and both
+asymptotes) serve every power with one value.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -41,6 +42,7 @@ from .metrics import (
     asc_asymptotic,
     asc_asymptotic_large_n,
     asc_quadrature,
+    check_transmit_power,
     poi_closed_form,
     poi_quadrature,
 )
@@ -76,6 +78,19 @@ _NOISE_FIELDS = tuple(
     {"background_var": f"bg_var_{side}", "impulse_ratio": f"eta_{side}", "impulse_prob": f"p_{side}"}
     for side in ("b", "e")
 )
+
+
+def _linear_power(p_db: float) -> float:
+    """The linear transmit power of ``p_db`` dB, checked as
+    :class:`SystemConfig` checks its own."""
+    try:
+        power = 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise ConfigError(
+            f"transmit_power_db={p_db} overflows the linear transmit power"
+        ) from None
+    check_transmit_power(power)
+    return power
 
 
 @dataclass(frozen=True)
@@ -142,12 +157,7 @@ class ScenarioParams:
         sweep axis quantities."""
         p_db = self.transmit_power_db if power_db is None else power_db
         n = self.n_destinations if n_destinations is None else n_destinations
-        try:
-            power = 10.0 ** (p_db / 10.0)
-        except OverflowError:
-            raise ConfigError(
-                f"transmit_power_db={p_db} overflows the linear transmit power"
-            ) from None
+        power = _linear_power(p_db)
         topo = PinholeTopology(
             source_link=link_params_from_db(self.m_a_db, self.s_a_db),
             destination_link=link_params_from_db(self.m_b_db, self.s_b_db),
@@ -263,29 +273,34 @@ def _group_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    Each point's configuration is built first, and the points that differ
-    only in transmit power form one group: the whole power axis is one
-    group, and each destination count is a group of its own.  Every route
-    then runs once per group.  Rows come in axis order, methods in spec
-    order within a point.  A failing point becomes a :class:`SweepError`
-    and the sweep continues.
+    The points that differ only in transmit power form one group: the
+    whole power axis is one group, and each destination count is a group
+    of its own.  A group builds one configuration, at its first point that
+    has one; each later power of the axis is only converted to a linear
+    power, with the checks and messages of
+    :meth:`ScenarioParams.system_config`.  Every route then runs once per
+    group.  Rows come in axis order, methods in spec order within a point.
+    A failing point, its configuration or power included, becomes a
+    :class:`SweepError` and the sweep continues.
     """
     power_axis = spec.axis == "transmit_power_db"
     results = [None] * len(spec.values)
-    # A group keeps only its first configuration: holding one per point
-    # would wake the garbage collector on long axes.
     groups = []  # (configuration, point indices, linear powers)
     for i, axis_value in enumerate(spec.values):
-        at = {"power_db": float(axis_value)} if power_axis else {"n_destinations": axis_value}
         try:
-            cfg = spec.base.system_config(quad_order=spec.quadrature_order, **at)
+            if power_axis and groups:
+                # The group's configuration serves every later power.
+                power = _linear_power(float(axis_value))
+            else:
+                at = {"power_db": float(axis_value)} if power_axis else {"n_destinations": axis_value}
+                cfg = spec.base.system_config(quad_order=spec.quadrature_order, **at)
+                groups.append((cfg, [], []))
+                power = cfg.transmit_power
         except PlcsecError as exc:
             results[i] = [exc] * len(spec.methods)
             continue
-        if not (power_axis and groups):
-            groups.append((cfg, [], []))
         groups[-1][1].append(i)
-        groups[-1][2].append(cfg.transmit_power)
+        groups[-1][2].append(power)
     for cfg, points, powers in groups:
         per_method = [_group_results(spec, m, cfg, powers) for m in spec.methods]
         for k, i in enumerate(points):

@@ -46,7 +46,13 @@ from plcsec import (
     poi_quadrature,
     q_function,
 )
-from plcsec.metrics import _SKIP_EPS, _event_offset, _fit_expectation, _kept_nodes
+from plcsec.metrics import (
+    _RATE_BLOCK,
+    _SKIP_EPS,
+    _event_offset,
+    _fit_expectation,
+    _kept_nodes,
+)
 from plcsec.special_math import normal_cdf, normal_log_cdf
 
 LN2 = math.log(2.0)
@@ -459,6 +465,37 @@ class TestAscQuadrature:
                 else:
                     assert got == asc_quadrature(one)
 
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [64, 160, 200])
+    def test_power_axis_across_rate_blocks(self, order, pinhole):
+        # The axis is evaluated in blocks of ``block`` powers.  Overflowing
+        # powers sit at index 0, at the first slot of the second block and at
+        # the last slot of the third.
+        cfg = make_config(order=order, pinhole=pinhole, m_b=20.0, m_e=15.0)
+        _, _, x, wx, y, z = quadrature_gains(cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows, cols = _kept_nodes(wx, x, folded_weights(cfg), np.array([y, y, z, z]))
+        pairs = 2 * sum(int(r.sum()) * int(c.sum()) for r, c in zip(rows, cols))
+        block = max(1, _RATE_BLOCK // pairs)
+        powers = [10.0 ** (-1.0 + 0.01 * i) for i in range(3 * block + 2)]
+        for index in (0, block, 3 * block - 1):
+            powers.insert(index, 1e300 * (1.0 + index))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            axis = asc_quadrature(cfg, powers=powers)
+            assert len(axis) == len(powers)
+            failed = []
+            for k, (power, got) in enumerate(zip(powers, axis)):
+                one = replace(cfg, transmit_power=power)
+                if power >= 1e300:
+                    with pytest.raises(EvaluationError) as exc:
+                        asc_quadrature(one)
+                    assert isinstance(got, EvaluationError) and str(got) == str(exc.value)
+                    failed.append(k)
+                else:
+                    assert got == asc_quadrature(one), k
+        assert failed == [0, block, 3 * block - 1]
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_power_axis_rejects_bad_powers(self, bad):
         with pytest.raises(ConfigError, match="transmit_power"):
@@ -492,9 +529,12 @@ class TestAscQuadrature:
             outputs.add(proc.stdout)
         assert len(outputs) == 1, outputs
 
-    def test_power_axis_peak_memory_stays_small(self):
-        # One power at a time: a (powers x nodes x nodes) array would be 57 MB.
-        cfg = make_config(order=160)
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [64, 160, 200])
+    def test_power_axis_peak_memory_stays_small(self, order, pinhole):
+        # Rates go to one buffer of a block of powers: a (powers x nodes x
+        # nodes) array would be 57 MB at order 160.
+        cfg = make_config(order=order, pinhole=pinhole)
         powers = [10.0 ** (-1.0 + 0.025 * i) for i in range(281)]
         tracemalloc.start()
         try:
@@ -502,7 +542,7 @@ class TestAscQuadrature:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
 
 def asymptotic_event_oracle(at_b, at_e, m_b, s_b, m_e, s_e, n):

@@ -59,4 +59,6 @@ def test_traced_sweeps_record_every_route(tmp_path, capsys):
         "montecarlo.mc_asc", "montecarlo.mc_poi",
     }
     summary = tracing.summarize(spans)
-    assert summary["sweep.system_config"]["calls"] == 8
+    # One configuration per group: each power axis is one group, and each
+    # destination count a group of its own.
+    assert summary["sweep.system_config"]["calls"] == 6

@@ -264,6 +264,44 @@ class TestRunSweep:
                                  methods=sweep_mod.POI_METHODS))
             assert calls == dict.fromkeys(routes, runs), axis
 
+    def test_power_axis_builds_one_configuration_per_group(self, monkeypatch):
+        calls = []
+        real = ScenarioParams.system_config
+
+        def spy(self, **kwargs):
+            calls.append(kwargs)
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(ScenarioParams, "system_config", spy)
+        for metric, methods in (("asc", sweep_mod.ASC_METHODS), ("poi", sweep_mod.POI_METHODS)):
+            calls.clear()
+            run_sweep(small_spec(metric=metric, values=(0.0, 10.0, 20.0), methods=methods))
+            assert [c.get("power_db") for c in calls] == [0.0]
+            calls.clear()
+            run_sweep(small_spec(metric=metric, axis="n_destinations", values=(2, 3),
+                                 methods=methods))
+            assert [c.get("n_destinations") for c in calls] == [2, 3]
+        # A point without a configuration does not start the group.
+        calls.clear()
+        run_sweep(small_spec(values=(-4000.0, 20.0, 4000.0), methods=("quadrature",)))
+        assert [c.get("power_db") for c in calls] == [-4000.0, 20.0]
+
+    def test_power_axis_powers_match_their_configurations(self, monkeypatch):
+        seen = []
+        real = sweep_mod._EVALUATORS[("asc", "quadrature")]
+
+        def spy(cfg, *, powers):
+            seen.append(list(powers))
+            return real(cfg, powers=powers)
+
+        monkeypatch.setitem(sweep_mod._EVALUATORS, ("asc", "quadrature"), spy)
+        grid = tuple(-10.0 + 0.25 * i for i in range(281))
+        spec = small_spec(values=grid, methods=("quadrature",))
+        run_sweep(spec)
+        want = [spec.base.system_config(power_db=v).transmit_power for v in grid]
+        assert len(seen) == 1
+        assert [p.hex() for p in seen[0]] == [p.hex() for p in want]
+
     def test_config_errors_at_both_ends_of_a_power_axis(self):
         # -4000 dB underflows and 4000 dB overflows the linear power, so
         # neither point has a configuration; at 3000 dB the rates overflow,
