@@ -14,7 +14,9 @@ provided for its average:
   nodes that hold a pair whose term can exceed ``1e-20`` times the
   largest-weight term of its (side, noise state) at some power; the pairs
   left out move it by less than its own rounding.  A power axis is checked
-  for overflow at once and takes its rates in blocks of powers.
+  for overflow at once and takes its rates in blocks of powers; a
+  destination axis takes the rates of its one power once, over every node
+  that some count keeps.
 * ``asc_asymptotic`` / ``asc_asymptotic_large_n`` -- closed forms for the
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
@@ -33,6 +35,11 @@ would give alternating sums whose terms grow like exp(0.55 N) while the sum
 stays bounded; the power is integrated instead by a fixed composite
 Gauss-Legendre rule in double precision.  Cost and accuracy do not depend on
 N, and that integral's error estimate is reported as ``integration_error``.
+
+Every route takes ``destinations=``, a sequence of destination counts, and
+returns one entry per count, each bit for bit the call on a configuration
+with that ``n_destinations``: the nodes, CDFs and fitted logs that do not
+depend on N are built once per call.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channel import LinkParams, PinholeTopology, effective_links
+from .channel import LinkParams, PinholeTopology, effective_links, is_destination_count
 from .errors import ConfigError, EvaluationError
 from .noise import NoiseEvent, NoiseParams, noise_events, noise_states
 from .special_math import (
@@ -189,16 +196,34 @@ def _node_log_cdf(order: int) -> np.ndarray:
     return out
 
 
-def power_axis(cfg: SystemConfig, powers: Sequence[float] | None) -> tuple[float, ...]:
-    """The powers a route's ``powers=`` call evaluates, each checked as
-    :class:`SystemConfig` checks its own: ``cfg.transmit_power`` alone when
-    ``powers`` is None."""
-    if powers is None:
-        return (cfg.transmit_power,)
-    axis = tuple(powers)
-    for power in axis:
+def route_axes(
+    cfg: SystemConfig,
+    powers: Sequence[float] | None = None,
+    destinations: Sequence[int] | None = None,
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The powers and the destination counts a route's call evaluates, each
+    checked as :class:`SystemConfig` and :class:`PinholeTopology` check
+    their own: the configuration's own where an axis is not given.  At most
+    one of the two axes may be given."""
+    if powers is not None and destinations is not None:
+        raise ConfigError("a route takes powers= or destinations=, not both")
+    ps = (cfg.transmit_power,) if powers is None else tuple(powers)
+    ns = (cfg.topology.n_destinations,) if destinations is None else tuple(destinations)
+    for power in ps:
         check_transmit_power(power)
-    return axis
+    if not all(is_destination_count(n) for n in ns):
+        raise ConfigError("n_destinations must be a positive integer")
+    return ps, ns
+
+
+def axis_results(results: list, axis_given: bool):
+    """What a route returns: ``results`` when it was called on an axis, and
+    otherwise its one result, raised if it is an :class:`EvaluationError`."""
+    if axis_given:
+        return results
+    if isinstance(results[0], EvaluationError):
+        raise results[0]
+    return results[0]
 
 
 # An overflowing gain or rate leaves a non-finite term, which raises the
@@ -206,7 +231,10 @@ def power_axis(cfg: SystemConfig, powers: Sequence[float] | None) -> tuple[float
 # under- or overflows at the reference pair only adds kept nodes.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def asc_quadrature(
-    cfg: SystemConfig, *, powers: Sequence[float] | None = None
+    cfg: SystemConfig,
+    *,
+    powers: Sequence[float] | None = None,
+    destinations: Sequence[int] | None = None,
 ) -> SecrecyResult | list[SecrecyResult | EvaluationError]:
     """Average secrecy capacity by nested standard-normal quadrature.
 
@@ -215,9 +243,10 @@ def asc_quadrature(
     scheduled destination's or the eavesdropper's standardized log-gain, with
     the positivity clamp appearing as the conditional CDF factor of the other
     side.  Both clamp limits read the contest offset ``lam`` that the other
-    analytical routes use; transmit power enters only the two rates.  The
-    raw (unclamped) sum is returned: a slightly negative value is a
-    quadrature-accuracy diagnostic, not a property of the metric.
+    analytical routes use; transmit power enters only the two rates, and the
+    destination count only the inner weights.  The raw (unclamped) sum is
+    returned: a slightly negative value is a quadrature-accuracy diagnostic,
+    not a property of the metric.
 
     Everything but ``log1p`` is power-free and is built once per call.
     Every event reads the rates of one noise state per side and enters the
@@ -243,11 +272,23 @@ def asc_quadrature(
     ``asc_quadrature(replace(cfg, transmit_power=powers[k]))``, or the
     :class:`EvaluationError` that call raises.  ``cfg.transmit_power`` is
     then not used.
+
+    With ``destinations``, a sequence of destination counts, a list with
+    one entry per count is returned in the same way: entry ``k`` is bit for
+    bit the result of the call on ``cfg`` with ``n_destinations =
+    destinations[k]``, or the error that call raises, and
+    ``cfg.topology.n_destinations`` is not used.  The gains, the node CDFs
+    and the rates of the one power are taken once, over every node that
+    some count keeps; each count builds its own weights and kept nodes and
+    sums its own pairs of those rates.  The rates do not depend on the
+    count, so a power whose rates overflow fails every count with one
+    error.  At most one of ``powers`` and ``destinations`` may be given.
     """
-    axis = power_axis(cfg, powers)
+    axis, ns = route_axes(cfg, powers, destinations)
+    if not ns:
+        return []
     topo = cfg.topology
     dest, eav = effective_links(topo)
-    n = topo.n_destinations
     phi_e = eav.s / dest.s
     rule = cfg.quadrature
     t = rule.nodes
@@ -263,37 +304,62 @@ def asc_quadrature(
 
     y = np.exp(dest.s * t + dest.m)
     z = np.exp(eav.s * t + eav.m)
-    # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
-    sel = n * np.exp((n - 1) * _node_log_cdf(rule.order))
+    gains = np.array([y, y, z, z])
+    node_log_cdf = _node_log_cdf(rule.order)
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
     # [dest state, eav state] per event: each CDF below is one call over all.
     lam = np.array([_event_offset(ev, dest, eav) for ev in events]).reshape(2, 2, 1)
     # Destination side: clamp shows up as the eavesdropper CDF.
-    base_b = w * sel * normal_cdf((t - lam) / phi_e)
+    clamp_b = normal_cdf((t - lam) / phi_e)
     # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
-    base_e = w * (-np.expm1(n * normal_log_cdf(phi_e * t + lam)))
-    # Per (side, noise state) segment, destination states first: its SNR
-    # factor and folded inner weights.
+    log_clamp_e = normal_log_cdf(phi_e * t + lam)
     scale = (np.array([ev.probability for ev in events]) / LN2).reshape(2, 2, 1)
+    # Per count: its segments' folded inner weights, destination states
+    # first, and the outer and inner nodes each side keeps.
+    kept = []
+    for n in ns:
+        # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
+        sel = n * np.exp((n - 1) * node_log_cdf)
+        base_b = w * sel * clamp_b
+        base_e = w * (-np.expm1(n * log_clamp_e))
+        weights = np.vstack([(scale * base_b).sum(axis=1), (-scale * base_e).sum(axis=0)])
+        kept.append((weights, *_kept_nodes(wx, x, weights, gains)))
     alphas = [a for noise in (cfg.dest_noise, cfg.eav_noise) for _, a in noise_states(noise)]
-    weights = np.vstack([(scale * base_b).sum(axis=1), (-scale * base_e).sum(axis=0)])
     # fl(x_i g_j) is monotone in x_i and in g_j, so max(x) max(g) is the
     # largest gain of a segment's outer product, and it is NaN or inf when a
     # NaN (0 * inf) gain occurs.  fl(v s) is monotone in v too: at a power, a
     # segment has a non-finite rate exactly when its largest gain's is.
     g_max = np.array([y.max()] * 2 + [z.max()] * 2)
     peaks = x.max() * g_max
-    # Per side, the gains of its kept pairs and the folded weights of its two
-    # noise states there, built once.
-    (rows_b, rows_e), (cols_b, cols_e) = _kept_nodes(wx, x, weights, np.array([y, y, z, z]))
-    gains_b = np.multiply.outer(x[rows_b], y[cols_b]).ravel()
-    gains_e = np.multiply.outer(x[rows_e], z[cols_e]).ravel()
-    coefs = np.concatenate([
-        (weights[:2, None, cols_b] * wx[rows_b, None]).ravel(),
-        (weights[2:, None, cols_e] * wx[rows_e, None]).ravel(),
-    ])
+    # Per side, the gains of the pairs of every node that some count keeps,
+    # built once; with one count, its own kept pairs.
+    rows = np.any([k[1] for k in kept], axis=0)
+    cols = np.any([k[2] for k in kept], axis=0)
+    gains_b = np.multiply.outer(x[rows[0]], y[cols[0]]).ravel()
+    gains_e = np.multiply.outer(x[rows[1]], z[cols[1]]).ravel()
     split = 2 * gains_b.size
+
+    def layout(weights, kept_rows, kept_cols):
+        """A count's pair weights and, on a destination axis, which of the
+        gains above are its pairs; both in the order of its own kept pairs."""
+        coefs = np.concatenate([
+            (weights[2 * s:2 * s + 2, None, kept_cols[s]] * wx[kept_rows[s], None]).ravel()
+            for s in (0, 1)
+        ])
+        if len(ns) == 1:
+            return coefs, None
+        b, e = (
+            np.multiply.outer(kept_rows[s][rows[s]], kept_cols[s][cols[s]]).ravel() for s in (0, 1)
+        )
+        return coefs, np.concatenate([b, b, e, e])  # a side's two noise states
+
+    # A destination axis has one power, so one block, which builds each
+    # count's layout when it reaches it; a power axis has one count, whose
+    # layout serves every block.
+    layouts = (layout(*k) for k in kept)
+    if len(ns) == 1:
+        layouts = list(layouts)
 
     # Row k holds power k's SNR factor per segment, p * alpha.
     scaled = np.multiply.outer(axis, alphas)
@@ -307,43 +373,53 @@ def asc_quadrature(
         errors[k] = EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
     # The rates of a block of powers go to a reused buffer, since a
     # (powers x pairs) array would not stay small.
-    block = max(1, min(len(axis), _RATE_BLOCK // max(coefs.size, 1)))
-    rate = np.empty((block, coefs.size))
+    size = split + 2 * gains_e.size
+    block = max(1, min(len(axis), _RATE_BLOCK // max(size, 1)))
+    rate = np.empty((block, size))
     out_b = rate[:, :split].reshape(block, 2, gains_b.size)
     out_e = rate[:, split:].reshape(block, 2, gains_e.size)
-    results: list[SecrecyResult | EvaluationError] = []
+    results: list[list[SecrecyResult | EvaluationError]] = [[] for _ in ns]
     for start in range(0, len(axis), block):
         factors = scaled[start:start + block, :, None]
         chunk = rate[:len(factors)]
         np.multiply(factors[:, :2], gains_b, out=out_b[:len(factors)])
         np.multiply(factors[:, 2:], gains_e, out=out_e[:len(factors)])
         np.log1p(chunk, out=chunk)
-        # Summed by numpy, not by a BLAS dot product, whose rounding depends
-        # on the BLAS thread count.
-        for total in np.multiply(chunk, coefs, out=chunk).sum(axis=1).tolist():
-            diagnostics = {"negative_value": total} if total < 0.0 else {}
-            results.append(SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics))
+        for per_count, (coefs, pairs) in zip(results, layouts):
+            # A destination axis has one power: each count gathers its pairs
+            # from the shared rates into a row of its own.
+            terms = chunk if pairs is None else np.compress(pairs, chunk, axis=1)
+            # Summed by numpy, not by a BLAS dot product, whose rounding
+            # depends on the BLAS thread count.
+            for total in np.multiply(terms, coefs, out=terms).sum(axis=1).tolist():
+                diagnostics = {"negative_value": total} if total < 0.0 else {}
+                per_count.append(
+                    SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
+                )
     # A failing power's sum is dropped for its error.
-    for k, error in errors.items():
-        results[k] = error
-
-    if powers is not None:
-        return results
-    if isinstance(results[0], EvaluationError):
-        raise results[0]
-    return results[0]
+    for per_count in results:
+        for k, error in errors.items():
+            per_count[k] = error
+    flat = [result for per_count in results for result in per_count]
+    return axis_results(flat, powers is not None or destinations is not None)
 
 
-def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
+def poi_quadrature(
+    cfg: SystemConfig, *, destinations: Sequence[int] | None = None
+) -> SecrecyResult | list[SecrecyResult]:
     """Intercept probability by a single Gauss-Hermite expectation per event.
 
     For each noise event the intercept probability is
     ``E[Phi(phi_e t + lam)^N]`` over a standard normal t; transmit power
     never enters (only power-free SNR factors appear), so results are
-    bit-identical across transmit powers.
+    bit-identical across transmit powers.  ``log Phi`` at the nodes does not
+    depend on N either: with ``destinations``, a sequence of destination
+    counts, it is taken once, and a list with one entry per count is
+    returned, each bit for bit the call on ``cfg`` with that
+    ``n_destinations``.
     """
+    _, ns = route_axes(cfg, destinations=destinations)
     dest, eav = effective_links(cfg.topology)
-    n = cfg.topology.n_destinations
     phi_e = eav.s / dest.s
     rule = cfg.quadrature
     t = rule.nodes
@@ -351,13 +427,18 @@ def poi_quadrature(cfg: SystemConfig) -> SecrecyResult:
 
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
     lam = np.array([[_event_offset(ev, dest, eav)] for ev in events])
-    # Never non-finite: NoiseParams keeps lam finite, so each value is in [0, 1].
-    # Summed by numpy, not by a BLAS dot product (see asc_quadrature).
-    contest = (w * np.exp(n * normal_log_cdf(phi_e * t + lam))).sum(axis=1)
-    total = 0.0
-    for ev, value in zip(events, contest):
-        total += ev.probability * float(value)
-    return SecrecyResult(value=total, method="quadrature")
+    log_contest = normal_log_cdf(phi_e * t + lam)
+    results = []
+    for n in ns:
+        # Never non-finite: NoiseParams keeps lam finite, so each value is in
+        # [0, 1].  Summed by numpy, not by a BLAS dot product (see
+        # asc_quadrature).
+        contest = (w * np.exp(n * log_contest)).sum(axis=1)
+        total = 0.0
+        for ev, value in zip(events, contest):
+            total += ev.probability * float(value)
+        results.append(SecrecyResult(value=total, method="quadrature"))
+    return axis_results(results, destinations is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -378,54 +459,68 @@ _K1, _K2, _K3 = DEFAULT_Q_APPROX
 
 
 def _tail_power_integral(
-    lam: float, sigma: float, m: int, c0: float, c1: float
-) -> tuple[float, float]:
-    """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``.
+    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+) -> list[tuple[float, float]]:
+    """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``,
+    per power ``m`` of ``ms``.
 
     Expanding ``(1 - Qfit)^m`` binomially gives the closed forms' alternating
     sums term by term; integrating the power directly, as
-    ``exp(m log1p(-Qfit))``, avoids their cancellation.  Returns the value and
-    an error estimate: the gap to the coarse rule plus a rounding allowance
+    ``exp(m log1p(-Qfit))``, avoids their cancellation.  The nodes,
+    ``log1p(-Qfit)`` and ``c0 + c1 T`` do not depend on ``m`` and are built
+    once; each ``m`` takes one ``exp`` and the sums over the same (panels x
+    nodes) array a single ``m`` would.  Returns, per ``m``, the value and an
+    error estimate: the gap to the coarse rule plus a rounding allowance
     that grows with the magnitude of each node's exponent.
     """
     lo = max(-lam / sigma, -_Z_MAX)
     if lo >= _Z_MAX:
-        return 0.0, 0.0
+        return [(0.0, 0.0)] * len(ms)
     panels = math.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
     half = 0.5 * (_Z_MAX - lo) / panels
     mids = lo + half * (2.0 * np.arange(panels) + 1.0)
     z = mids[:, None] + half * _GL_NODES
     t = lam + sigma * z
     q = np.exp(-(_K1 * t * t + _K2 * t + _K3))
-    exponent = m * np.log1p(-q) - 0.5 * z * z
-    wf = (c0 + c1 * t) * np.exp(exponent) * (_GL_WEIGHTS * half / SQRT_2PI)
-    fine = float(wf[:, _GL_FINE].sum())
-    coarse = float(wf[:, _GL_COARSE].sum())
-    rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
-    return fine, abs(fine - coarse) + rounding
+    log_fit = np.log1p(-q)
+    half_z2 = 0.5 * z * z
+    linear = c0 + c1 * t
+    gl = _GL_WEIGHTS * half / SQRT_2PI
+    out = []
+    for m in ms:
+        exponent = m * log_fit - half_z2
+        wf = linear * np.exp(exponent) * gl
+        fine = float(wf[:, _GL_FINE].sum())
+        coarse = float(wf[:, _GL_COARSE].sum())
+        rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
+        out.append((fine, abs(fine - coarse) + rounding))
+    return out
 
 
 def _fit_expectation(
-    lam: float, sigma: float, m: int, c0: float, c1: float
-) -> tuple[float, float]:
-    """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the Q-fit.
+    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+) -> list[tuple[float, float]]:
+    """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the
+    Q-fit, per power ``m`` of ``ms``.
 
     Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
     completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
-    Gaussian segment integral.  Above 0, ``Phi = 1 - Q`` gives
+    Gaussian segment integral per ``m``.  Above 0, ``Phi = 1 - Q`` gives
     :func:`_tail_power_integral`.  The error estimate is that integral's
     plus a rounding allowance for the segment term, which grows with the
     magnitude of the parts of its exponent as the tail rule's does.
     """
     inv2 = 1.0 / (sigma * sigma)
-    a = math.sqrt(2.0 * m * _K1 + inv2)
-    b = (m * _K2 + lam * inv2) / a
-    d = math.exp(-0.5 * (2.0 * m * _K3 + lam * lam * inv2 - b * b))
-    seg = gaussian_segment_integrals(a, b)
-    head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
-    tail, error = _tail_power_integral(lam, sigma, m, c0, c1)
-    rounding = _EPS * (16.0 + 0.5 * (2.0 * m * _K3 + lam * lam * inv2 + b * b)) * abs(head)
-    return head + tail, error + rounding
+    out = []
+    for m, (tail, error) in zip(ms, _tail_power_integral(lam, sigma, ms, c0, c1)):
+        a = math.sqrt(2.0 * m * _K1 + inv2)
+        b = (m * _K2 + lam * inv2) / a
+        d = math.exp(-0.5 * (2.0 * m * _K3 + lam * lam * inv2 - b * b))
+        seg = gaussian_segment_integrals(a, b)
+        head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
+        rounding = _EPS * (16.0 + 0.5 * (2.0 * m * _K3 + lam * lam * inv2 + b * b)) * abs(head)
+        out.append((head + tail, error + rounding))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +528,12 @@ def _fit_expectation(
 # ---------------------------------------------------------------------------
 
 
-def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyResult:
+def _asymptotic_value(
+    cfg: SystemConfig, keep_vanishing_terms: bool, destinations: Sequence[int] | None
+) -> SecrecyResult | list[SecrecyResult]:
+    _, ns = route_axes(cfg, destinations=destinations)
     topo = cfg.topology
     dest, eav = effective_links(topo)
-    n_dest = topo.n_destinations
     phi_e = eav.s / dest.s
     events = noise_events(cfg.dest_noise, cfg.eav_noise)
 
@@ -445,47 +542,58 @@ def _asymptotic_value(cfg: SystemConfig, keep_vanishing_terms: bool) -> SecrecyR
     log_e = sum(ev.probability * math.log(ev.alpha_e) for ev in events)
     # The many-destination limit keeps only the destination's half line above 0.
     dest_fit = _fit_expectation if keep_vanishing_terms else _tail_power_integral
-    dest_value, dest_error = dest_fit(0.0, 1.0, n_dest - 1, log_b + dest.m, dest.s)
-    total = n_dest * dest_value - (log_e + eav.m)
-    error = n_dest * dest_error
+    dest_terms = dest_fit(0.0, 1.0, [n - 1 for n in ns], log_b + dest.m, dest.s)
+    totals = [n * value - (log_e + eav.m) for n, (value, _) in zip(ns, dest_terms)]
+    errors = [n * error for n, (_, error) in zip(ns, dest_terms)]
 
     if keep_vanishing_terms:
         # The eavesdropper's clamp: its log rate where it beats every destination.
         for ev in events:
             lam = _event_offset(ev, dest, eav)
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            value, err = _fit_expectation(lam, phi_e, n_dest, c0_e, eav.s / phi_e)
-            total -= ev.probability * value
-            error += ev.probability * err
+            terms = _fit_expectation(lam, phi_e, ns, c0_e, eav.s / phi_e)
+            for k, (value, err) in enumerate(terms):
+                totals[k] -= ev.probability * value
+                errors[k] += ev.probability * err
 
     method = "asymptotic" if keep_vanishing_terms else "asymptotic-large-n"
-    return SecrecyResult(
-        value=total / LN2,
-        method=method,
-        diagnostics={"integration_error": error / LN2},
-    )
+    results = [
+        SecrecyResult(
+            value=total / LN2, method=method, diagnostics={"integration_error": error / LN2}
+        )
+        for total, error in zip(totals, errors)
+    ]
+    return axis_results(results, destinations is not None)
 
 
-def asc_asymptotic(cfg: SystemConfig) -> SecrecyResult:
+def asc_asymptotic(
+    cfg: SystemConfig, *, destinations: Sequence[int] | None = None
+) -> SecrecyResult | list[SecrecyResult]:
     """High-power saturation value of the average secrecy capacity.
 
     Independent of the transmit power and of the shared-segment statistics
     by construction.  Accuracy rests on the destination's log-mean being
     well above the eavesdropper's; the gap to ``asc_quadrature`` at a given
-    finite power widens as that margin shrinks.
+    finite power widens as that margin shrinks.  With ``destinations``, a
+    sequence of destination counts, the N-free work of every integral is
+    shared and a list with one entry per count is returned, each bit for
+    bit the call on ``cfg`` with that ``n_destinations``.
     """
-    return _asymptotic_value(cfg, keep_vanishing_terms=True)
+    return _asymptotic_value(cfg, keep_vanishing_terms=True, destinations=destinations)
 
 
-def asc_asymptotic_large_n(cfg: SystemConfig) -> SecrecyResult:
+def asc_asymptotic_large_n(
+    cfg: SystemConfig, *, destinations: Sequence[int] | None = None
+) -> SecrecyResult | list[SecrecyResult]:
     """Many-destination limit: only the terms that survive as N grows.
 
     Keeps the positive-half-axis destination integral and the eavesdropper's
     full log expectation.  It drops the destination's negative half axis and
     the eavesdropper's clamp, which both vanish as the number of
     destinations grows (given the destination's log-mean dominates).
+    ``destinations`` works as in :func:`asc_asymptotic`.
     """
-    return _asymptotic_value(cfg, keep_vanishing_terms=False)
+    return _asymptotic_value(cfg, keep_vanishing_terms=False, destinations=destinations)
 
 
 # ---------------------------------------------------------------------------
@@ -493,28 +601,32 @@ def asc_asymptotic_large_n(cfg: SystemConfig) -> SecrecyResult:
 # ---------------------------------------------------------------------------
 
 
-def poi_closed_form(cfg: SystemConfig) -> SecrecyResult:
+def poi_closed_form(
+    cfg: SystemConfig, *, destinations: Sequence[int] | None = None
+) -> SecrecyResult | list[SecrecyResult]:
     """Intercept probability through the Q-fit.
 
     Same contest factor ``E[Phi(phi_e t + lam)^N]`` as
     :func:`poi_quadrature`, taken by :func:`_fit_expectation` per noise
-    event.  Transmit power never enters.
+    event.  Transmit power never enters.  ``destinations`` works as in
+    :func:`asc_asymptotic`.
     """
-    topo = cfg.topology
-    dest, eav = effective_links(topo)
-    n_dest = topo.n_destinations
+    _, ns = route_axes(cfg, destinations=destinations)
+    dest, eav = effective_links(cfg.topology)
     phi_e = eav.s / dest.s
 
-    total = 0.0
-    error = 0.0
+    totals = [0.0] * len(ns)
+    errors = [0.0] * len(ns)
     for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
         lam = _event_offset(ev, dest, eav)
-        value, err = _fit_expectation(lam, phi_e, n_dest, 1.0, 0.0)
-        total += ev.probability * value
-        error += ev.probability * err
+        for k, (value, err) in enumerate(_fit_expectation(lam, phi_e, ns, 1.0, 0.0)):
+            totals[k] += ev.probability * value
+            errors[k] += ev.probability * err
 
-    return SecrecyResult(
-        value=total,
-        method="closed-form-poi",
-        diagnostics={"integration_error": error},
-    )
+    results = [
+        SecrecyResult(
+            value=total, method="closed-form-poi", diagnostics={"integration_error": error}
+        )
+        for total, error in zip(totals, errors)
+    ]
+    return axis_results(results, destinations is not None)

@@ -22,25 +22,28 @@ for any worker count and any completion order.
 Common random numbers: the draws depend only on ``(samples, seed)`` and the
 scenario, never on transmit power, so calls that share a seed share their
 trials.  ``mc_asc(..., powers=...)`` uses this to score a whole power axis
-from one set of draws, and the best destination's draw from one uniform
-per trial does not decrease in N.  Estimates at neighbouring axis points
-are then correlated; each point's CI stays valid on its own, and each
-result is fixed by ``(samples, seed)``, the scenario and the axis value.
+from one set of draws.  The best destination's draw from one uniform per
+trial does not decrease in N, and ``destinations=`` scores a whole
+destination axis from one set of draws.  Estimates at neighbouring axis
+points are then correlated; each point's CI stays valid on its own, and
+each result is fixed by ``(samples, seed)``, the scenario and the axis
+value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .channel import effective_links
 from .errors import ConfigError, EvaluationError
-from .metrics import LN2, SecrecyResult, SystemConfig, power_axis
+from .metrics import LN2, SecrecyResult, SystemConfig, axis_results, route_axes
 from .noise import noise_states
 from .special_math import normal_quantile
 
@@ -96,19 +99,27 @@ def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequ
         return list(pool.map(task, range(len(sizes))))
 
 
-def _best_of_n_normal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """``m`` draws of the maximum of ``n`` i.i.d. standard normals.
+def _best_of_n_normals(
+    rng: np.random.Generator, m: int, ns: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Per destination count ``n`` of ``ns``, ``m`` draws of the maximum of
+    ``n`` i.i.d. standard normals, all from the same ``m`` uniforms.
 
     The maximum has CDF ``Phi(z)^n``, so ``Phi^-1(U^(1/n))`` samples it from
     one uniform ``U``.  It is evaluated as ``-Phi^-1(1 - U^(1/n))`` with
     ``1 - U^(1/n) = -expm1(log(U) / n)``, which keeps the upper tail (``U^(1/n)``
     near 1) exact.  ``U = 0``, which ``Generator.random`` can return, maps to
-    ``-inf``: a best branch gain of exactly 0, its limit.
+    ``-inf``: a best branch gain of exactly 0, its limit.  The uniforms are
+    drawn, their logs taken and the first count's draws formed by this call,
+    before the caller holds its other arrays of the block; each later
+    count's draws are formed only when the returned iterator reaches it, so
+    no (counts x draws) array is held.
     """
     u = rng.random(m)
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
-    return -normal_quantile(-np.expm1(log_u / n))
+    draws = (-normal_quantile(-np.expm1(log_u / n)) for n in ns)
+    return itertools.chain(list(itertools.islice(draws, 1)), draws)
 
 
 def _asc_estimate(mc: McConfig, z: float, partials: list) -> SecrecyResult | EvaluationError:
@@ -127,7 +138,11 @@ def _asc_estimate(mc: McConfig, z: float, partials: list) -> SecrecyResult | Eva
 
 
 def mc_asc(
-    cfg: SystemConfig, mc: McConfig, *, powers: Sequence[float] | None = None
+    cfg: SystemConfig,
+    mc: McConfig,
+    *,
+    powers: Sequence[float] | None = None,
+    destinations: Sequence[int] | None = None,
 ) -> SecrecyResult | list[SecrecyResult | EvaluationError]:
     """Sample-mean estimate of the average secrecy capacity with a CI.
 
@@ -142,12 +157,20 @@ def mc_asc(
     is bit for bit the result of ``mc_asc(replace(cfg,
     transmit_power=powers[k]), mc)``, or the :class:`EvaluationError` that
     call raises.  ``cfg.transmit_power`` is then not used.
+
+    With ``destinations``, a sequence of destination counts, a list with
+    one entry per count is returned in the same way: entry ``k`` is bit for
+    bit the call on ``cfg`` with ``n_destinations = destinations[k]``, or
+    the error that call raises, and ``cfg.topology.n_destinations`` is not
+    used.  A block's draws do not depend on the count, so each block draws
+    them, and takes the eavesdropper's rates, once; per count it forms only
+    the best destination's draw, its rates and the score.  At most one of
+    ``powers`` and ``destinations`` may be given.
     """
-    axis = power_axis(cfg, powers)
+    axis, ns = route_axes(cfg, powers, destinations)
     topo = cfg.topology
     dest, eav = effective_links(topo)
     src = topo.source_link
-    n = topo.n_destinations
     (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
     (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
 
@@ -157,41 +180,48 @@ def mc_asc(
         # shared-gain normals are consumed even without a pinhole so paired
         # comparisons share randomness.
         z_a = rng.standard_normal(m)
-        z_best = _best_of_n_normal(rng, m, n)
+        z_bests = _best_of_n_normals(rng, m, ns)
         z_e = rng.standard_normal(m)
-        imp_b = rng.random(m) < p_b
-        imp_e = rng.random(m) < p_e
+        at_b = np.where(rng.random(m) < p_b, at2b, at1b)
+        at_e = np.where(rng.random(m) < p_e, at2e, at1e)
 
         # Overflow leaves a non-finite sample, which scoring reports.
         with np.errstate(over="ignore", invalid="ignore"):
             ln_shared = src.s * z_a + src.m if topo.pinhole_present else 0.0
-            gain_bn = np.exp(ln_shared + dest.s * z_best + dest.m)
             gain_ee = np.exp(ln_shared + eav.s * z_e + eav.m)
-            at_b = np.where(imp_b, at2b, at1b)
-            at_e = np.where(imp_e, at2e, at1e)
-            # One power at a time: a (powers x trials) array would not stay small.
-            return [_score(power, at_b, gain_bn, at_e, gain_ee) for power in axis]
+            # Not read again: dropped, they leave room for the per-count draws.
+            del z_a, z_e
+            # One power serves every count with one set of eavesdropper
+            # rates; a power axis (one count) takes them power by power.
+            shared_e = _log_rates(axis[0], at_e, gain_ee) if len(axis) == 1 else None
+            scores = []
+            for z_best in z_bests:
+                gain_bn = np.exp(ln_shared + dest.s * z_best + dest.m)
+                # One power at a time: a (powers x trials) array would not stay small.
+                for power in axis:
+                    rate_e = _log_rates(power, at_e, gain_ee) if shared_e is None else shared_e
+                    scores.append(_score(_log_rates(power, at_b, gain_bn), rate_e))
+            return scores
 
     partials = _run_blocks(mc, run_one)
     z = _z_score(mc.confidence)
-    results = [_asc_estimate(mc, z, [block[k] for block in partials]) for k in range(len(axis))]
-    if powers is not None:
-        return results
-    if isinstance(results[0], EvaluationError):
-        raise results[0]
-    return results[0]
+    results = [
+        _asc_estimate(mc, z, [block[k] for block in partials]) for k in range(len(partials[0]))
+    ]
+    return axis_results(results, powers is not None or destinations is not None)
 
 
-def _score(power, at_b, gain_b, at_e, gain_e) -> tuple | EvaluationError:
-    """Sum and sum of squares of one block's secrecy samples at one power,
-    or the error naming its first non-finite sample."""
-    # log1p(power * at * gain) per side, in place to spare the temporaries.
-    rate_b = np.multiply(power, at_b)
-    rate_b *= gain_b
-    np.log1p(rate_b, out=rate_b)
-    rate_e = np.multiply(power, at_e)
-    rate_e *= gain_e
-    np.log1p(rate_e, out=rate_e)
+def _log_rates(power: float, at: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """``log1p(power * at * gain)`` per trial, in place to spare the temporaries."""
+    rate = np.multiply(power, at)
+    rate *= gain
+    return np.log1p(rate, out=rate)
+
+
+def _score(rate_b: np.ndarray, rate_e: np.ndarray) -> tuple | EvaluationError:
+    """Sum and sum of squares of one block's secrecy samples from the two
+    sides' rates, or the error naming its first non-finite sample.
+    ``rate_b`` is overwritten."""
     cs = np.subtract(rate_b, rate_e, out=rate_b)
     np.maximum(cs, 0.0, out=cs)
     cs /= LN2
@@ -208,38 +238,45 @@ def _score(power, at_b, gain_b, at_e, gain_e) -> tuple | EvaluationError:
     return total, float(cs.sum())
 
 
-def mc_poi(cfg: SystemConfig, mc: McConfig) -> SecrecyResult:
+def mc_poi(
+    cfg: SystemConfig, mc: McConfig, *, destinations: Sequence[int] | None = None
+) -> SecrecyResult | list[SecrecyResult]:
     """Empirical intercept frequency with a binomial CI.
 
     The intercept comparison is done on log-gains with the power-free
     SNR factors: the shared gain and the transmit power multiply both sides
     of the inequality, so they are omitted rather than cancelled in floating
     point.  Trial outcomes are therefore identical across transmit powers
-    under common random numbers by construction.
+    under common random numbers by construction.  ``destinations`` works as
+    in :func:`mc_asc`: each block draws once, and its eavesdropper side is
+    formed once, for every count.
     """
-    topo = cfg.topology
-    dest, eav = effective_links(topo)
-    n = topo.n_destinations
+    _, ns = route_axes(cfg, destinations=destinations)
+    dest, eav = effective_links(cfg.topology)
     (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
     (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
     log_b = (math.log(at1b), math.log(at2b))
     log_e = (math.log(at1e), math.log(at2e))
 
-    def run_one(rng: np.random.Generator, m: int) -> tuple:
-        z_best = _best_of_n_normal(rng, m, n)
-        z_e = rng.standard_normal(m)
-        imp_b = rng.random(m) < p_b
-        imp_e = rng.random(m) < p_e
-
-        ln_best = dest.s * z_best + dest.m
-        ln_eav = eav.s * z_e + eav.m
-        lhs = np.where(imp_b, log_b[1], log_b[0]) + ln_best
-        rhs = np.where(imp_e, log_e[1], log_e[0]) + ln_eav
-        return (int(np.count_nonzero(lhs < rhs)),)
+    def run_one(rng: np.random.Generator, m: int) -> list:
+        z_bests = _best_of_n_normals(rng, m, ns)
+        ln_eav = eav.s * rng.standard_normal(m) + eav.m
+        level_b = np.where(rng.random(m) < p_b, log_b[1], log_b[0])
+        rhs = np.where(rng.random(m) < p_e, log_e[1], log_e[0])
+        rhs += ln_eav
+        # Not read again: dropped, it leaves room for the per-count draws.
+        del ln_eav
+        return [
+            int(np.count_nonzero(level_b + (dest.s * z_best + dest.m) < rhs))
+            for z_best in z_bests
+        ]
 
     partials = _run_blocks(mc, run_one)
-    hits = sum(p[0] for p in partials)
+    z = _z_score(mc.confidence)
     count = mc.samples
-    p_hat = hits / count
-    half = _z_score(mc.confidence) * math.sqrt(p_hat * (1.0 - p_hat) / count)
-    return SecrecyResult(value=p_hat, method="monte-carlo", ci_halfwidth=half)
+    results = []
+    for k in range(len(ns)):
+        p_hat = sum(p[k] for p in partials) / count
+        half = z * math.sqrt(p_hat * (1.0 - p_hat) / count)
+        results.append(SecrecyResult(value=p_hat, method="monte-carlo", ci_halfwidth=half))
+    return axis_results(results, destinations is not None)

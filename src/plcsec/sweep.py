@@ -12,14 +12,16 @@ share their draws (common random numbers): neighbouring points are
 correlated, each point's CI stays valid on its own, and a row depends only
 on the samples, the seed, the scenario and its axis value.
 
-A sweep groups the points that differ only in transmit power, so a power
-axis is one group and each destination count a group of its own.  A group
-builds one configuration; the later powers of a power axis are only
-converted from dB.  Every route runs once per group: the Monte Carlo ASC
-draws its trials once and scores every power, the quadrature ASC builds its
+The points of a sweep differ only in its axis quantity, so a power axis
+and a destination axis are each one group.  A group builds one
+configuration; the later powers of a power axis are only converted from
+dB, and the later destination counts are passed on as they are.  Every
+route runs once per sweep.  On a power axis the Monte Carlo ASC draws its
+trials once and scores every power, the quadrature ASC builds its
 power-free vectors once and forms only the rates of each block of powers,
 and the routes that do not depend on power (all POI methods and both
-asymptotes) serve every power with one value.
+asymptotes) serve every power with one value.  On a destination axis
+every route takes ``destinations=`` and does its N-free work once.
 
 Transmit power is quoted in dB relative to a unit background noise variance;
 the default scenario normalizes both background variances to 1 so the power
@@ -251,58 +253,64 @@ _EVALUATORS = {
 }
 
 
-def _group_results(spec: SweepSpec, method: str, cfg: SystemConfig, powers: list) -> list:
-    """One result, or the error raised in its place, per power of a group
-    of points that differ only in transmit power."""
+def _axis_results(spec: SweepSpec, method: str, cfg: SystemConfig, values: list) -> list:
+    """One result, or the error raised in its place, per point of the
+    sweep's axis: ``values`` holds their linear powers or their destination
+    counts."""
+    key = (spec.metric, method)
+    if spec.axis == "n_destinations":
+        axis = {"destinations": values}
+    elif key in (("asc", "quadrature"), ("asc", "monte-carlo")):
+        axis = {"powers": values}
+    else:
+        axis = {}  # power-free by construction: one evaluation serves every power
     try:
-        if (spec.metric, method) == ("asc", "monte-carlo"):
-            return mc_asc(cfg, spec.mc, powers=powers)
-        if (spec.metric, method) == ("asc", "quadrature"):
-            # Through the table, not the name: perfbench's tracer wraps its entries.
-            return _EVALUATORS[("asc", "quadrature")](cfg, powers=powers)
-        # Power-free by construction: one evaluation serves every power.
         if method == "monte-carlo":
-            result = mc_poi(cfg, spec.mc)
+            result = (mc_asc if spec.metric == "asc" else mc_poi)(cfg, spec.mc, **axis)
         else:
-            result = _EVALUATORS[(spec.metric, method)](cfg)
+            # Through the table, not the name: perfbench's tracer wraps its entries.
+            result = _EVALUATORS[key](cfg, **axis)
+        if axis:
+            return result
     except PlcsecError as exc:
         result = exc
-    return [result] * len(powers)
+    return [result] * len(values)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[SweepError]]:
     """Evaluate every (axis value, method) pair of the spec.
 
-    The points that differ only in transmit power form one group: the
-    whole power axis is one group, and each destination count is a group
-    of its own.  A group builds one configuration, at its first point that
-    has one; each later power of the axis is only converted to a linear
-    power, with the checks and messages of
-    :meth:`ScenarioParams.system_config`.  Every route then runs once per
-    group.  Rows come in axis order, methods in spec order within a point.
-    A failing point, its configuration or power included, becomes a
-    :class:`SweepError` and the sweep continues.
+    The points of a sweep differ only in its axis quantity, so they form
+    one group: a power axis or a destination axis.  The group builds one
+    configuration, at its first point that has one.  Each later power of
+    a power axis is only converted to a linear power, with the checks and
+    messages of :meth:`ScenarioParams.system_config`; each later
+    destination count is passed to the routes as it is.  Every route then
+    runs once per sweep, on the whole axis.  Rows come in axis order,
+    methods in spec order within a point.  A failing point, its
+    configuration or power included, becomes a :class:`SweepError` and the
+    sweep continues.
     """
     power_axis = spec.axis == "transmit_power_db"
     results = [None] * len(spec.values)
-    groups = []  # (configuration, point indices, linear powers)
+    cfg = None
+    points, values = [], []  # the points with a configuration, and their axis values
     for i, axis_value in enumerate(spec.values):
         try:
-            if power_axis and groups:
-                # The group's configuration serves every later power.
-                power = _linear_power(float(axis_value))
-            else:
+            if cfg is None:
                 at = {"power_db": float(axis_value)} if power_axis else {"n_destinations": axis_value}
                 cfg = spec.base.system_config(quad_order=spec.quadrature_order, **at)
-                groups.append((cfg, [], []))
-                power = cfg.transmit_power
+                value = cfg.transmit_power if power_axis else axis_value
+            else:
+                # The group's configuration serves every later point.
+                value = _linear_power(float(axis_value)) if power_axis else axis_value
         except PlcsecError as exc:
             results[i] = [exc] * len(spec.methods)
             continue
-        groups[-1][1].append(i)
-        groups[-1][2].append(power)
-    for cfg, points, powers in groups:
-        per_method = [_group_results(spec, m, cfg, powers) for m in spec.methods]
+        points.append(i)
+        values.append(value)
+    if points:
+        per_method = [_axis_results(spec, m, cfg, values) for m in spec.methods]
         for k, i in enumerate(points):
             results[i] = [column[k] for column in per_method]
     rows, errors = [], []

@@ -19,7 +19,13 @@ from plcsec import (
     link_params_from_db,
     mc_asc,
 )
-from plcsec.montecarlo import _best_of_n_normal
+from plcsec.montecarlo import _best_of_n_normals
+
+
+def best_of_n_normal(rng, m, n):
+    """The Monte Carlo sampler's ``m`` best-destination draws at one count."""
+    (z,) = _best_of_n_normals(rng, m, (n,))
+    return z
 
 
 def topo(m_b=-4.605, s_b=1.382, n=10, pinhole=True, m_a=-4.605, s_a=1.382, m_e=-9.21, s_e=1.382):
@@ -87,7 +93,7 @@ class TestLognormalMean:
         rng = np.random.default_rng(2024)
         chunk, chunks = 1_000_000, 10
         total = math.fsum(
-            best_gain(link, _best_of_n_normal(rng, chunk, 1)).sum() for _ in range(chunks)
+            best_gain(link, best_of_n_normal(rng, chunk, 1)).sum() for _ in range(chunks)
         )
         mean = math.exp(link.m + 0.5 * link.s**2)
         # Standard error of the sample mean of a log-normal.
@@ -104,13 +110,13 @@ class TestBestDestination:
         link = topo(n=1).destination_link
         for x in (0.01, 0.5, 3.0):
             u = best_cdf(x, link, 1)
-            z = _best_of_n_normal(FixedUniforms([u]), 1, 1)
+            z = best_of_n_normal(FixedUniforms([u]), 1, 1)
             assert best_gain(link, z[0]) == pytest.approx(x, rel=1e-9)
 
     def test_median_cubed(self):
         # The best of three sits below the link median with probability 1/8.
         link = topo(n=3).destination_link
-        z = _best_of_n_normal(FixedUniforms([0.125]), 1, 3)
+        z = best_of_n_normal(FixedUniforms([0.125]), 1, 3)
         assert z[0] == pytest.approx(0.0, abs=1e-15)
         assert best_gain(link, z[0]) == pytest.approx(math.exp(link.m), rel=1e-14)
 
@@ -119,7 +125,7 @@ class TestBestDestination:
         link = t.destination_link
         rng = np.random.default_rng(7)
         trials = 1_000_000
-        best = best_gain(link, _best_of_n_normal(rng, trials, t.n_destinations))
+        best = best_gain(link, best_of_n_normal(rng, trials, t.n_destinations))
         for x in (0.02, 0.1, 1.0):
             expected = best_cdf(x, link, t.n_destinations)
             freq = np.mean(best <= x)
@@ -133,7 +139,7 @@ class TestBestDestination:
             np.random.default_rng(3).random(10_000),
             [2.0**-1074, 1e-300, 0.5, 1.0 - 2.0**-53],
         ])
-        draws = [_best_of_n_normal(FixedUniforms(u), u.size, n) for n in (1, 2, 4, 8, 16)]
+        draws = list(_best_of_n_normals(FixedUniforms(u), u.size, (1, 2, 4, 8, 16)))
         assert not any(np.isnan(d).any() for d in draws)
         assert all(np.all(b >= a) for a, b in zip(draws, draws[1:]))
 
@@ -166,16 +172,16 @@ class TestSampleGain:
 
     def test_fixed_seed_reproduces_sequences(self):
         for n in (1, 10):
-            a = _best_of_n_normal(np.random.default_rng(42), 64, n)
-            b = _best_of_n_normal(np.random.default_rng(42), 64, n)
-            c = _best_of_n_normal(np.random.default_rng(43), 64, n)
+            a = best_of_n_normal(np.random.default_rng(42), 64, n)
+            b = best_of_n_normal(np.random.default_rng(42), 64, n)
+            c = best_of_n_normal(np.random.default_rng(43), 64, n)
             np.testing.assert_array_equal(a, b)
             assert not np.array_equal(a, c)
 
     def test_kolmogorov_smirnov_against_cdf(self):
         link = LinkParams(m=-1.0, s=1.3)
         rng = np.random.default_rng(5)
-        draws = best_gain(link, _best_of_n_normal(rng, 100_000, 1))
+        draws = best_gain(link, best_of_n_normal(rng, 100_000, 1))
         result = stats.kstest(draws, lambda x: best_cdf(x, link, 1))
         critical_1pct = 1.6276 / math.sqrt(draws.size)
         assert result.statistic < critical_1pct

@@ -151,7 +151,7 @@ def test_integration_error_bounds_gap_to_sums(name, n):
             (lam, phi_e, n, eav_c),
             (lam, phi_e, n, (1.0, 0.0)),
         ):
-            value, error = metrics_mod._tail_power_integral(shift, scale, m, c0, c1)
+            [(value, error)] = metrics_mod._tail_power_integral(shift, scale, [m], c0, c1)
             mass, first = mp_tail_moments(shift, scale, m)
             with mpmath.workdps(_precision(m)):
                 expected = float(c0 * mass + c1 * first)
@@ -177,8 +177,8 @@ def test_tail_integral_is_zero_past_the_window(lam, sigma):
     # With lam / sigma <= -39 the half line T > 0 lies beyond the rule's
     # window: the weight there is below 1e-330, which double precision
     # cannot hold.
+    assert metrics_mod._tail_power_integral(lam, sigma, [0, 1, 40], 1.0, 1.0) == [(0.0, 0.0)] * 3
     for m in (0, 1, 40):
-        assert metrics_mod._tail_power_integral(lam, sigma, m, 1.0, 1.0) == (0.0, 0.0)
         mass, first = mp_tail_moments(lam, sigma, m)
         assert float(mass) == 0.0 and float(first) == 0.0
 

@@ -765,8 +765,8 @@ class TestAsymptoticConstants:
         # At m = 0 the completed square must be the bare density of T
         # (a = 1/sigma, b = lam/sigma, d = 1), so both halves add up to the
         # mass 1 and the mean lam.
-        mass, _ = _fit_expectation(lam, sigma, 0, 1.0, 0.0)
-        mean, _ = _fit_expectation(lam, sigma, 0, 0.0, 1.0)
+        [(mass, _)] = _fit_expectation(lam, sigma, [0], 1.0, 0.0)
+        [(mean, _)] = _fit_expectation(lam, sigma, [0], 0.0, 1.0)
         assert abs(mass - 1.0) <= 1e-12
         assert abs(mean - lam) <= 1e-12
 
@@ -792,6 +792,117 @@ class TestAsymptoticConstants:
         assert _event_offset(ev, dest, eav) == pytest.approx(want, rel=1e-15)
         for route in (asc_asymptotic, asc_asymptotic_large_n, poi_closed_form, poi_quadrature):
             assert math.isfinite(route(cfg).value)
+
+
+# Destination counts on both sides of 24/25 and far past the old cap of 1000.
+AXIS_NS = (1, 2, 24, 25, 1000, 10**5)
+ANALYTIC_ROUTES = (
+    asc_quadrature, asc_asymptotic, asc_asymptotic_large_n, poi_quadrature, poi_closed_form,
+)
+
+
+def with_destinations(cfg, n):
+    return replace(cfg, topology=replace(cfg.topology, n_destinations=n))
+
+
+def one_count(route, cfg, n):
+    """``route`` on ``cfg`` at ``n`` destinations: its result or its error."""
+    try:
+        return route(with_destinations(cfg, n))
+    except EvaluationError as exc:
+        return exc
+
+
+def assert_same_entry(got, want, context):
+    """An axis entry is the one-count call's result bit for bit, value,
+    CI, diagnostics and method, or an error of the same type and text."""
+    if isinstance(want, EvaluationError):
+        assert type(got) is type(want) and str(got) == str(want), context
+    else:
+        assert isinstance(got, type(want)), context
+        assert got.value.hex() == want.value.hex(), context
+        assert got == want, context
+
+
+class TestDestinationAxis:
+    @pytest.mark.parametrize(
+        "spreads_db", [(6, 6), (6, 2), (2, 6)], ids=["sb6-se6", "sb6-se2", "sb2-se6"]
+    )
+    @pytest.mark.parametrize("prob", [0.0, 0.1, 0.9])
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [32, 64, 160])
+    def test_matches_calls_one_count_at_a_time(self, order, pinhole, prob, spreads_db):
+        db = math.log(10.0) / 10.0
+        cfg = make_config(
+            order=order, pinhole=pinhole, p_b=prob, p_e=prob,
+            s_b=spreads_db[0] * db, s_e=spreads_db[1] * db,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in ANALYTIC_ROUTES:
+                axis = route(cfg, destinations=AXIS_NS)
+                assert len(axis) == len(AXIS_NS)
+                for n, got in zip(AXIS_NS, axis):
+                    assert_same_entry(got, one_count(route, cfg, n), (route.__name__, n))
+
+    @pytest.mark.parametrize("route", ANALYTIC_ROUTES, ids=lambda fn: fn.__name__)
+    def test_any_order_and_repeats(self, route):
+        # Each count's work is its own: neither its neighbours nor its
+        # position in the axis moves its entry.
+        cfg = make_config(s_b=2 * math.log(10.0) / 10.0)
+        axis = (1000, 2, 2, 10**5, 1, 25, 24)
+        for n, got in zip(axis, route(cfg, destinations=axis)):
+            assert_same_entry(got, one_count(route, cfg, n), n)
+        assert route(cfg, destinations=(7,)) == [route(with_destinations(cfg, 7))]
+        assert route(cfg, destinations=()) == []
+
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    @pytest.mark.parametrize("order", [64, 160])
+    def test_an_overflowing_power_fails_every_count(self, order, pinhole):
+        # The rates overflow at 1e300 for every count (as in the power-axis
+        # tests), and at 1e6 for none.
+        cfg = make_config(order=order, pinhole=pinhole, m_b=20.0, m_e=15.0)
+        for power, fails in ((1e300, True), (1e6, False)):
+            at = replace(cfg, transmit_power=power)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                axis = asc_quadrature(at, destinations=AXIS_NS)
+            for n, got in zip(AXIS_NS, axis):
+                want = one_count(asc_quadrature, at, n)
+                assert isinstance(want, EvaluationError) is fails
+                assert_same_entry(got, want, (power, n))
+
+    def test_a_count_that_keeps_no_node(self):
+        # 350 dB above the destination the eavesdropper always wins: no
+        # count keeps a pair, and every entry is 0.
+        cfg = ScenarioParams(m_e_db=350.0).system_config()
+        axis = asc_quadrature(cfg, destinations=AXIS_NS)
+        assert [r.value for r in axis] == [0.0] * len(AXIS_NS)
+
+    @pytest.mark.parametrize("route", ANALYTIC_ROUTES, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, None])
+    def test_rejects_bad_counts(self, route, bad):
+        with pytest.raises(ConfigError, match="n_destinations must be a positive integer"):
+            route(make_config(), destinations=(3, bad))
+
+    def test_powers_and_destinations_together_raise(self):
+        with pytest.raises(ConfigError, match="not both"):
+            asc_quadrature(make_config(), powers=(1.0, 2.0), destinations=(1, 2))
+
+    def test_peak_memory_stays_small(self):
+        # Shared rates over the nodes some count keeps, one count's gathered
+        # pairs at a time: no (counts x pairs) array.
+        cfg = make_config(order=160)
+        ns = tuple(range(1, 65))
+        tracemalloc.start()
+        try:
+            asc_quadrature(cfg, destinations=ns)
+            poi_quadrature(cfg, destinations=ns)
+            poi_closed_form(cfg, destinations=ns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestPinholeBehaviour:

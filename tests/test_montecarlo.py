@@ -44,6 +44,12 @@ def brute_force_best_of_n(rng, m, n, rows=8192):
     ])
 
 
+def best_of_n_normal(rng, m, n):
+    """The Monte Carlo sampler's ``m`` best-destination draws at one count."""
+    (z,) = mc_mod._best_of_n_normals(rng, m, (n,))
+    return z
+
+
 class ConstantUniforms:
     """Stub generator: every uniform is ``u``, every normal is 0."""
 
@@ -204,7 +210,7 @@ class TestBestOfNSampler:
     @pytest.mark.parametrize("n", [1, 2, 10, 40, 256])
     def test_matches_brute_force_oracle(self, n):
         draws = 200_000
-        direct = mc_mod._best_of_n_normal(np.random.default_rng([n, 1]), draws, n)
+        direct = best_of_n_normal(np.random.default_rng([n, 1]), draws, n)
         oracle = brute_force_best_of_n(np.random.default_rng([n, 2]), draws, n)
         assert stats.ks_2samp(direct, oracle).pvalue > 1e-3
 
@@ -212,7 +218,7 @@ class TestBestOfNSampler:
     def test_upper_tail_frequency(self, n):
         # P(max > Phi^-1(1 - q)) = 1 - (1 - q)^n, within a 99.9% binomial CI.
         draws, q = 2_000_000, 1e-3
-        z = mc_mod._best_of_n_normal(np.random.default_rng([n, 3]), draws, n)
+        z = best_of_n_normal(np.random.default_rng([n, 3]), draws, n)
         p = -math.expm1(n * math.log1p(-q))
         hits = np.count_nonzero(z > -sps.ndtri(q))
         assert abs(hits / draws - p) <= 3.2905 * math.sqrt(p * (1 - p) / draws)
@@ -221,7 +227,7 @@ class TestBestOfNSampler:
     def test_largest_uniform_keeps_the_tail_exact(self, n):
         # 1 - 2^-53 is the largest uniform Generator.random returns; there
         # U^(1/n) rounds to 1, so only the expm1 form keeps the draw finite.
-        z = mc_mod._best_of_n_normal(ConstantUniforms(1.0 - 2.0**-53), 1, n)
+        z = best_of_n_normal(ConstantUniforms(1.0 - 2.0**-53), 1, n)
         assert z[0] == pytest.approx(-sps.ndtri(2.0**-53 / n), rel=1e-12)
 
     def test_zero_uniform_gives_zero_gain_silently(self, monkeypatch):
@@ -230,7 +236,7 @@ class TestBestOfNSampler:
         mc = McConfig(samples=10_000, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z = mc_mod._best_of_n_normal(ConstantUniforms(0.0), 4, 10)
+            z = best_of_n_normal(ConstantUniforms(0.0), 4, 10)
             asc = mc_asc(make_config(), mc)
             poi = mc_poi(make_config(), mc)
         assert np.all(z == -np.inf)
@@ -241,7 +247,10 @@ class TestBestOfNSampler:
         cfg = make_config(n=10)
         mc = McConfig(samples=400_000, seed=17)
         direct = mc_asc(cfg, mc)
-        monkeypatch.setattr(mc_mod, "_best_of_n_normal", brute_force_best_of_n)
+        monkeypatch.setattr(
+            mc_mod, "_best_of_n_normals",
+            lambda rng, m, ns: [brute_force_best_of_n(rng, m, n) for n in ns],
+        )
         brute = mc_asc(cfg, mc)
         assert direct.value != brute.value
         assert abs(direct.value - brute.value) <= math.hypot(
@@ -249,17 +258,104 @@ class TestBestOfNSampler:
         )
 
     def test_memory_is_flat_in_destination_count(self):
-        # The brute-force sampler would hold 65536 x 1000 doubles per block.
+        # The brute-force sampler would hold 65536 x 1000 doubles per block,
+        # and a destination axis held whole 65536 x 16 per block.
         cfg = make_config(n=1000)
         mc = McConfig(samples=200_000, seed=2)
         tracemalloc.start()
         try:
             mc_asc(cfg, mc)
             mc_poi(cfg, mc)
+            mc_asc(cfg, mc, destinations=range(1, 17))
+            mc_poi(cfg, mc, destinations=range(1, 17))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+# Destination counts on both sides of 24/25 and far past the old cap of 1000.
+AXIS_NS = (1, 2, 24, 25, 1000, 10**5)
+DB = math.log(10.0) / 10.0
+
+
+def one_count(route, cfg, mc, n):
+    """``route`` on ``cfg`` at ``n`` destinations: its result or its error."""
+    try:
+        return route(replace(cfg, topology=replace(cfg.topology, n_destinations=n)), mc)
+    except EvaluationError as exc:
+        return exc
+
+
+def assert_same_entry(got, want, context):
+    """An axis entry is the one-count call's result bit for bit, value,
+    CI and method, or an error of the same type and text."""
+    if isinstance(want, EvaluationError):
+        assert type(got) is type(want) and str(got) == str(want), context
+    else:
+        assert isinstance(got, type(want)), context
+        assert (got.value.hex(), got.ci_halfwidth.hex()) == (
+            want.value.hex(), want.ci_halfwidth.hex()
+        ), context
+        assert got == want, context
+
+
+class TestDestinationAxis:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {},
+            {"pinhole": False, "m_b": -30.0 * DB, "p_b": 0.9, "p_e": 0.0},
+            {"s_b": 2 * DB, "p_b": 0.0, "p_e": 0.9},
+            {"s_e": 2 * DB, "p_b": 0.1, "p_e": 0.1},
+        ],
+        ids=["default", "no-pinhole-mb-30", "sb2-se6", "sb6-se2"],
+    )
+    def test_matches_calls_one_count_at_a_time(self, scenario, workers):
+        # 140000 samples span 3 blocks, so two workers share them.
+        cfg = make_config(**scenario)
+        mc = McConfig(samples=140_000, seed=31, workers=workers)
+        for route in (mc_asc, mc_poi):
+            axis = route(cfg, mc, destinations=AXIS_NS)
+            assert len(axis) == len(AXIS_NS)
+            for n, got in zip(AXIS_NS, axis):
+                assert_same_entry(got, one_count(route, cfg, mc, n), (route.__name__, n))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_non_finite_sample_at_some_counts_only(self, workers):
+        # The destination's log gain sits 7 below the overflow of exp: the
+        # best of one branch stays finite in every trial, the best of 10^5
+        # overflows in some.  The best draw does not fall as N grows, so the
+        # failing counts are the largest ones.
+        cfg = make_config(pinhole=False, m_a=0.0, s_a=1e-9, m_b=703.0, p_b=0.0, p_e=0.0, power=1.0)
+        mc = McConfig(samples=140_000, seed=3, workers=workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            axis = mc_asc(cfg, mc, destinations=AXIS_NS)
+        failed = [isinstance(r, EvaluationError) for r in axis]
+        assert failed[0] is False and failed[-1] is True and failed == sorted(failed)
+        for n, got in zip(AXIS_NS, axis):
+            assert_same_entry(got, one_count(mc_asc, cfg, mc, n), n)
+
+    def test_any_order_and_repeats(self):
+        cfg = make_config()
+        mc = McConfig(samples=70_000, seed=5)
+        axis = (1000, 2, 2, 1)
+        for route in (mc_asc, mc_poi):
+            for n, got in zip(axis, route(cfg, mc, destinations=axis)):
+                assert_same_entry(got, one_count(route, cfg, mc, n), (route.__name__, n))
+            assert route(cfg, mc, destinations=()) == []
+
+    def test_powers_and_destinations_together_raise(self):
+        with pytest.raises(ConfigError, match="not both"):
+            mc_asc(make_config(), McConfig(samples=10_000, seed=1),
+                   powers=(1.0,), destinations=(1,))
+
+    @pytest.mark.parametrize("route", [mc_asc, mc_poi], ids=lambda fn: fn.__name__)
+    def test_rejects_bad_counts(self, route):
+        with pytest.raises(ConfigError, match="n_destinations must be a positive integer"):
+            route(make_config(), McConfig(samples=10_000, seed=1), destinations=(2, 0))
 
 
 class TestMcPoi:

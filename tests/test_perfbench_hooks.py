@@ -59,6 +59,6 @@ def test_traced_sweeps_record_every_route(tmp_path, capsys):
         "montecarlo.mc_asc", "montecarlo.mc_poi",
     }
     summary = tracing.summarize(spans)
-    # One configuration per group: each power axis is one group, and each
-    # destination count a group of its own.
-    assert summary["sweep.system_config"]["calls"] == 6
+    # One configuration per sweep: a power axis and a destination axis are
+    # each one group.
+    assert summary["sweep.system_config"]["calls"] == 4

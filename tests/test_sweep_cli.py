@@ -40,7 +40,6 @@ from plcsec.cli import main
 from plcsec.config import spec_to_dict
 
 TINY_MC = McConfig(samples=10_000, seed=5, workers=1)
-SWEEP_MC = McConfig(samples=20_000, seed=5, workers=1)
 
 
 def small_spec(**overrides):
@@ -193,13 +192,14 @@ class TestRunSweep:
     def _check_destination_axis(self, metric, routes):
         methods = sweep_mod.POI_METHODS if metric == "poi" else sweep_mod.ASC_METHODS
         assert list(routes) == list(methods)
-        spec = small_spec(metric=metric, axis="n_destinations", values=(1, 2, 4),
-                          methods=methods, mc=SWEEP_MC)
+        # 140000 samples span 3 blocks, so two workers share them.
+        spec = small_spec(metric=metric, axis="n_destinations", values=(1, 2, 4, 25),
+                          methods=methods, mc=McConfig(samples=140_000, seed=5, workers=2))
         rows, errors = run_sweep(spec)
         assert errors == []
         got = {(r.axis_value, r.method): (r.value, r.ci_halfwidth) for r in rows}
-        assert len(got) == len(rows) == 3 * len(methods)
-        for n in (1, 2, 4):
+        assert len(got) == len(rows) == 4 * len(methods)
+        for n in (1, 2, 4, 25):
             cfg = spec.base.system_config(n_destinations=n)
             for method, route in routes.items():
                 direct = route(cfg)
@@ -209,7 +209,7 @@ class TestRunSweep:
         self._check_destination_axis("poi", {
             "quadrature": poi_quadrature,
             "closed-form-poi": poi_closed_form,
-            "monte-carlo": lambda cfg: mc_poi(cfg, SWEEP_MC),
+            "monte-carlo": lambda cfg: mc_poi(cfg, McConfig(samples=140_000, seed=5)),
         })
 
     def test_asc_axis_over_destinations(self):
@@ -217,8 +217,20 @@ class TestRunSweep:
             "quadrature": asc_quadrature,
             "asymptotic": asc_asymptotic,
             "asymptotic-large-n": asc_asymptotic_large_n,
-            "monte-carlo": lambda cfg: mc_asc(cfg, SWEEP_MC),
+            "monte-carlo": lambda cfg: mc_asc(cfg, McConfig(samples=140_000, seed=5)),
         })
+
+    def test_a_destination_axis_without_a_configuration(self):
+        # 4000 dB overflows the linear power at every count alike.
+        spec = small_spec(axis="n_destinations", values=(1, 2, 3), methods=sweep_mod.ASC_METHODS,
+                          base=ScenarioParams(transmit_power_db=4000.0), mc=TINY_MC)
+        rows, errors = run_sweep(spec)
+        with pytest.raises(ConfigError) as info:
+            ScenarioParams().system_config(power_db=4000.0)
+        assert rows == []
+        assert [(e.axis_value, e.method, e.message) for e in errors] == [
+            (n, m, str(info.value)) for n in (1, 2, 3) for m in sweep_mod.ASC_METHODS
+        ]
 
     def test_monte_carlo_points_are_deterministic(self):
         spec = small_spec(values=(10.0,), methods=("monte-carlo",))
@@ -240,8 +252,8 @@ class TestRunSweep:
         run_sweep(spec)
         assert seen == [2]
 
-    def test_power_free_routes_run_once_per_power_axis(self, monkeypatch):
-        # And every route once per destination count.
+    def test_every_route_runs_once_per_sweep(self, monkeypatch):
+        # On a power axis and on a destination axis alike.
         calls = {}
 
         def counting(name, fn):
@@ -256,15 +268,15 @@ class TestRunSweep:
             monkeypatch.setattr(sweep_mod, name, counting(name, getattr(sweep_mod, name)))
         routes = [("asc", "quadrature"), ("asc", "asymptotic"), ("asc", "asymptotic-large-n"),
                   "mc_asc", ("poi", "quadrature"), ("poi", "closed-form-poi"), "mc_poi"]
-        for axis, values, runs in [("transmit_power_db", (0.0, 10.0, 20.0), 1),
-                                   ("n_destinations", (2, 3), 2)]:
+        for axis, values in [("transmit_power_db", (0.0, 10.0, 20.0)),
+                             ("n_destinations", (2, 3, 25))]:
             calls.clear()
             run_sweep(small_spec(axis=axis, values=values, methods=sweep_mod.ASC_METHODS))
             run_sweep(small_spec(metric="poi", axis=axis, values=values,
                                  methods=sweep_mod.POI_METHODS))
-            assert calls == dict.fromkeys(routes, runs), axis
+            assert calls == dict.fromkeys(routes, 1), axis
 
-    def test_power_axis_builds_one_configuration_per_group(self, monkeypatch):
+    def test_an_axis_builds_one_configuration(self, monkeypatch):
         calls = []
         real = ScenarioParams.system_config
 
@@ -278,9 +290,9 @@ class TestRunSweep:
             run_sweep(small_spec(metric=metric, values=(0.0, 10.0, 20.0), methods=methods))
             assert [c.get("power_db") for c in calls] == [0.0]
             calls.clear()
-            run_sweep(small_spec(metric=metric, axis="n_destinations", values=(2, 3),
+            run_sweep(small_spec(metric=metric, axis="n_destinations", values=(2, 3, 40),
                                  methods=methods))
-            assert [c.get("n_destinations") for c in calls] == [2, 3]
+            assert [c.get("n_destinations") for c in calls] == [2]
         # A point without a configuration does not start the group.
         calls.clear()
         run_sweep(small_spec(values=(-4000.0, 20.0, 4000.0), methods=("quadrature",)))
