@@ -278,15 +278,13 @@ def asc_quadrature(
     bit the result of the call on ``cfg`` with ``n_destinations =
     destinations[k]``, or the error that call raises, and
     ``cfg.topology.n_destinations`` is not used.  The gains, the node CDFs
-    and the rates of the one power are taken once, over every node that
-    some count keeps; each count builds its own weights and kept nodes and
-    sums its own pairs of those rates.  The rates do not depend on the
-    count, so a power whose rates overflow fails every count with one
-    error.  At most one of ``powers`` and ``destinations`` may be given.
+    and the overflow check are taken once; each count then runs the
+    one-count body on its own weights and kept pairs.  The rates do not
+    depend on the count, so a power whose rates overflow fails every count
+    with one error.  At most one of ``powers`` and ``destinations`` may be
+    given.
     """
     axis, ns = route_axes(cfg, powers, destinations)
-    if not ns:
-        return []
     topo = cfg.topology
     dest, eav = effective_links(topo)
     phi_e = eav.s / dest.s
@@ -315,16 +313,6 @@ def asc_quadrature(
     # Eavesdropper side: clamp shows up as 1 - (destination max CDF).
     log_clamp_e = normal_log_cdf(phi_e * t + lam)
     scale = (np.array([ev.probability for ev in events]) / LN2).reshape(2, 2, 1)
-    # Per count: its segments' folded inner weights, destination states
-    # first, and the outer and inner nodes each side keeps.
-    kept = []
-    for n in ns:
-        # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
-        sel = n * np.exp((n - 1) * node_log_cdf)
-        base_b = w * sel * clamp_b
-        base_e = w * (-np.expm1(n * log_clamp_e))
-        weights = np.vstack([(scale * base_b).sum(axis=1), (-scale * base_e).sum(axis=0)])
-        kept.append((weights, *_kept_nodes(wx, x, weights, gains)))
     alphas = [a for noise in (cfg.dest_noise, cfg.eav_noise) for _, a in noise_states(noise)]
     # fl(x_i g_j) is monotone in x_i and in g_j, so max(x) max(g) is the
     # largest gain of a segment's outer product, and it is NaN or inf when a
@@ -332,34 +320,6 @@ def asc_quadrature(
     # segment has a non-finite rate exactly when its largest gain's is.
     g_max = np.array([y.max()] * 2 + [z.max()] * 2)
     peaks = x.max() * g_max
-    # Per side, the gains of the pairs of every node that some count keeps,
-    # built once; with one count, its own kept pairs.
-    rows = np.any([k[1] for k in kept], axis=0)
-    cols = np.any([k[2] for k in kept], axis=0)
-    gains_b = np.multiply.outer(x[rows[0]], y[cols[0]]).ravel()
-    gains_e = np.multiply.outer(x[rows[1]], z[cols[1]]).ravel()
-    split = 2 * gains_b.size
-
-    def layout(weights, kept_rows, kept_cols):
-        """A count's pair weights and, on a destination axis, which of the
-        gains above are its pairs; both in the order of its own kept pairs."""
-        coefs = np.concatenate([
-            (weights[2 * s:2 * s + 2, None, kept_cols[s]] * wx[kept_rows[s], None]).ravel()
-            for s in (0, 1)
-        ])
-        if len(ns) == 1:
-            return coefs, None
-        b, e = (
-            np.multiply.outer(kept_rows[s][rows[s]], kept_cols[s][cols[s]]).ravel() for s in (0, 1)
-        )
-        return coefs, np.concatenate([b, b, e, e])  # a side's two noise states
-
-    # A destination axis has one power, so one block, which builds each
-    # count's layout when it reaches it; a power axis has one count, whose
-    # layout serves every block.
-    layouts = (layout(*k) for k in kept)
-    if len(ns) == 1:
-        layouts = list(layouts)
 
     # Row k holds power k's SNR factor per segment, p * alpha.
     scaled = np.multiply.outer(axis, alphas)
@@ -371,37 +331,51 @@ def asc_quadrature(
         seg, i = divmod(int(np.argmax(bad)), x.size)
         state = f"{('dest_state', 'eav_state')[seg // 2]}={seg % 2 + 1}"
         errors[k] = EvaluationError(f"non-finite quadrature rate ({state}) at outer node index {i}")
-    # The rates of a block of powers go to a reused buffer, since a
-    # (powers x pairs) array would not stay small.
-    size = split + 2 * gains_e.size
-    block = max(1, min(len(axis), _RATE_BLOCK // max(size, 1)))
-    rate = np.empty((block, size))
-    out_b = rate[:, :split].reshape(block, 2, gains_b.size)
-    out_e = rate[:, split:].reshape(block, 2, gains_e.size)
-    results: list[list[SecrecyResult | EvaluationError]] = [[] for _ in ns]
-    for start in range(0, len(axis), block):
-        factors = scaled[start:start + block, :, None]
-        chunk = rate[:len(factors)]
-        np.multiply(factors[:, :2], gains_b, out=out_b[:len(factors)])
-        np.multiply(factors[:, 2:], gains_e, out=out_e[:len(factors)])
-        np.log1p(chunk, out=chunk)
-        for per_count, (coefs, pairs) in zip(results, layouts):
-            # A destination axis has one power: each count gathers its pairs
-            # from the shared rates into a row of its own.
-            terms = chunk if pairs is None else np.compress(pairs, chunk, axis=1)
+
+    results: list[SecrecyResult | EvaluationError] = []
+    for n in ns:
+        # Scheduling factor N * Phi(t)^(N-1), built in log space for large N.
+        sel = n * np.exp((n - 1) * node_log_cdf)
+        base_b = w * sel * clamp_b
+        base_e = w * (-np.expm1(n * log_clamp_e))
+        # Per (side, noise state) segment, destination states first: its
+        # folded inner weights.
+        weights = np.vstack([(scale * base_b).sum(axis=1), (-scale * base_e).sum(axis=0)])
+        # Per side, the gains of its kept pairs and the folded weights of its
+        # two noise states there.
+        (rows_b, rows_e), (cols_b, cols_e) = _kept_nodes(wx, x, weights, gains)
+        gains_b = np.multiply.outer(x[rows_b], y[cols_b]).ravel()
+        gains_e = np.multiply.outer(x[rows_e], z[cols_e]).ravel()
+        coefs = np.concatenate([
+            (weights[:2, None, cols_b] * wx[rows_b, None]).ravel(),
+            (weights[2:, None, cols_e] * wx[rows_e, None]).ravel(),
+        ])
+        split = 2 * gains_b.size
+        # The rates of a block of powers go to a reused buffer, since a
+        # (powers x pairs) array would not stay small.
+        block = max(1, min(len(axis), _RATE_BLOCK // max(coefs.size, 1)))
+        rate = np.empty((block, coefs.size))
+        out_b = rate[:, :split].reshape(block, 2, gains_b.size)
+        out_e = rate[:, split:].reshape(block, 2, gains_e.size)
+        per_count: list[SecrecyResult | EvaluationError] = []
+        for start in range(0, len(axis), block):
+            factors = scaled[start:start + block, :, None]
+            chunk = rate[:len(factors)]
+            np.multiply(factors[:, :2], gains_b, out=out_b[:len(factors)])
+            np.multiply(factors[:, 2:], gains_e, out=out_e[:len(factors)])
+            np.log1p(chunk, out=chunk)
             # Summed by numpy, not by a BLAS dot product, whose rounding
             # depends on the BLAS thread count.
-            for total in np.multiply(terms, coefs, out=terms).sum(axis=1).tolist():
+            for total in np.multiply(chunk, coefs, out=chunk).sum(axis=1).tolist():
                 diagnostics = {"negative_value": total} if total < 0.0 else {}
                 per_count.append(
                     SecrecyResult(value=total, method="quadrature", diagnostics=diagnostics)
                 )
-    # A failing power's sum is dropped for its error.
-    for per_count in results:
+        # A failing power's sum is dropped for its error.
         for k, error in errors.items():
             per_count[k] = error
-    flat = [result for per_count in results for result in per_count]
-    return axis_results(flat, powers is not None or destinations is not None)
+        results.extend(per_count)
+    return axis_results(results, powers is not None or destinations is not None)
 
 
 def poi_quadrature(

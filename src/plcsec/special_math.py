@@ -201,50 +201,29 @@ def _ppnd_ratio(r: np.ndarray, branch) -> np.ndarray:
     return out
 
 
-def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """AS241's tail and far branches at ``p`` with ``q = p - 1/2``, signed."""
-    # r is +inf at p = 0 and p = 1, where the ratios give inf / inf.  It is
-    # formed and shifted in place, so a call holds few arrays of p's size.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.minimum(p, 1.0 - p)
-        np.log(r, out=r)
-        np.negative(r, out=r)
-        np.sqrt(r, out=r)
-        far = np.flatnonzero(r > 5.0)
-        r_far = r[far] - 5.0
-        inf = np.isinf(r)
-        r -= 1.6
-        out = _ppnd_ratio(r, _PPND_TAIL)
-        if far.size:
-            out[far] = _ppnd_ratio(r_far, _PPND_FAR)
-    out[inf] = np.inf
-    return np.copysign(out, q, out=out)
-
-
 def normal_quantile(p) -> np.ndarray:
     """Standard normal quantile ``Phi^-1(p)`` of an array, by AS241.
 
     It is within 7e-16 relative of the exact quantile of ``p`` (against
     mpmath, over 1e-300 <= p <= 1 - 2^-53).  ``p = 0`` gives ``-inf`` and
-    ``p = 1`` gives ``+inf``, without a warning.  The central branch
-    (``|p - 1/2| <= 0.425``) runs only where it applies.  The tail branch
-    (``r = sqrt(-log min(p, 1 - p)) <= 5``) and the far branch run only
-    where they apply when most of the array is central; otherwise the tail
-    branch runs over the whole array, which costs less than gathering most
-    of it, and the other two overwrite their entries.  Both layouts give the
-    same bits.
+    ``p = 1`` gives ``+inf``, without a warning.  The tail branch
+    (``|p - 1/2| > 0.425``, ``r = sqrt(-log min(p, 1 - p)) <= 5``), which
+    holds most best-of-N draws, runs over the whole array; the central and
+    far branches run only where they apply.
     """
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
     q = flat - 0.5
-    is_central = np.abs(q) <= 0.425
-    if 2 * np.count_nonzero(is_central) > flat.size:
-        out = np.empty_like(flat)
-        tail = np.flatnonzero(~is_central)  # NaN included
-        out[tail] = _tail_quantile(flat[tail], q[tail])
-    else:
-        out = _tail_quantile(flat, q)
-    central = np.flatnonzero(is_central)
+    # r is +inf at p = 0 and p = 1, where the ratios give inf / inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(flat, 1.0 - flat)))
+        out = _ppnd_ratio(r - 1.6, _PPND_TAIL)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            out[far] = _ppnd_ratio(r[far] - 5.0, _PPND_FAR)
+    out[np.isinf(r)] = np.inf
+    np.copysign(out, q, out=out)
+    central = np.flatnonzero(np.abs(q) <= 0.425)
     if central.size:
         qc = q[central]
         out[central] = qc * _ppnd_ratio(0.180625 - qc * qc, _PPND_CENTRAL)

@@ -890,8 +890,7 @@ class TestDestinationAxis:
             asc_quadrature(make_config(), powers=(1.0, 2.0), destinations=(1, 2))
 
     def test_peak_memory_stays_small(self):
-        # Shared rates over the nodes some count keeps, one count's gathered
-        # pairs at a time: no (counts x pairs) array.
+        # One count's rates at a time: no (counts x pairs) array.
         cfg = make_config(order=160)
         ns = tuple(range(1, 65))
         tracemalloc.start()
