@@ -38,7 +38,6 @@ from .special_math import (
     QuadratureRule,
     gauss_hermite_rule,
     gaussian_segment_integrals,
-    q_function,
 )
 from .sweep import (
     ScenarioParams,
@@ -87,7 +86,6 @@ __all__ = [
     "noise_states",
     "poi_closed_form",
     "poi_quadrature",
-    "q_function",
     "rows_to_csv",
     "run_sweep",
     "__version__",

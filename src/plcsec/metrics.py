@@ -14,9 +14,9 @@ provided for its average:
   nodes that hold a pair whose term can exceed ``1e-20`` times the
   largest-weight term of its (side, noise state) at some power; the pairs
   left out move it by less than its own rounding.  A power axis is checked
-  for overflow at once and takes its rates in blocks of powers; a
-  destination axis takes the rates of its one power once, over every node
-  that some count keeps.
+  for overflow at once and takes its rates in blocks of powers; on a
+  destination axis each count runs the one-count body on its own kept
+  pairs.
 * ``asc_asymptotic`` / ``asc_asymptotic_large_n`` -- closed forms for the
   high-power saturation value, obtained by dropping the +1 inside both log
   terms (the shared pinhole gain then cancels, so the result is independent
@@ -28,13 +28,14 @@ provided for its average:
   functions are structurally independent of transmit power.
 
 Every closed-form term is one expectation ``E[(c0 + c1 T) Phi(T)^m]`` over
-a Gaussian T, taken through the exponential Q-fit by ``_fit_expectation``.
-Below 0 it is a half-axis Gaussian segment integral of
-:mod:`plcsec.special_math`.  Above 0, expanding ``(1 - Qfit)^m`` binomially
-would give alternating sums whose terms grow like exp(0.55 N) while the sum
-stays bounded; the power is integrated instead by a fixed composite
-Gauss-Legendre rule in double precision.  Cost and accuracy do not depend on
-N, and that integral's error estimate is reported as ``integration_error``.
+a Gaussian T, taken through the exponential Q-fit by
+:func:`plcsec.special_math.fit_expectation` for every count of a call at
+once.  Below 0 it is a half-axis Gaussian segment integral.  Above 0,
+expanding ``(1 - Qfit)^m`` binomially would give alternating sums whose
+terms grow like exp(0.55 N) while the sum stays bounded; the power is
+integrated instead by a fixed composite Gauss-Legendre rule in double
+precision.  Cost and accuracy do not depend on N, and that integral's error
+estimate is reported as ``integration_error``.
 
 Every route takes ``destinations=``, a sequence of destination counts, and
 returns one entry per count, each bit for bit the call on a configuration
@@ -50,7 +51,6 @@ from functools import lru_cache
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .channel import LinkParams, PinholeTopology, effective_links, is_destination_count
 from .errors import ConfigError, EvaluationError
@@ -58,11 +58,11 @@ from .noise import NoiseEvent, NoiseParams, noise_events, noise_states
 from .special_math import (
     DEFAULT_Q_APPROX,
     DEFAULT_QUAD_ORDER,
-    SQRT_2PI,
     QuadratureRule,
     checked_quad_order,
+    fit_expectation,
+    fit_tail_integral,
     gauss_hermite_rule,
-    gaussian_segment_integrals,
     normal_cdf,
     normal_log_cdf,
 )
@@ -416,88 +416,6 @@ def poi_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# Q-fit expectations behind the closed forms
-# ---------------------------------------------------------------------------
-
-# Composite Gauss-Legendre rule in standard-normal units: panels of at most
-# _PANEL_WIDTH up to _Z_MAX (where the density is below 1e-330).  The
-# 8-node rule on the same panels, evaluated in the same pass, gives the
-# error estimate.
-_PANEL_WIDTH = 0.5
-_Z_MAX = 39.0
-_GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(16), leggauss(8)])
-_GL_FINE = slice(0, 16)
-_GL_COARSE = slice(16, None)
-_EPS = np.finfo(float).eps
-_K1, _K2, _K3 = DEFAULT_Q_APPROX
-
-
-def _tail_power_integral(
-    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
-) -> list[tuple[float, float]]:
-    """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``,
-    per power ``m`` of ``ms``.
-
-    Expanding ``(1 - Qfit)^m`` binomially gives the closed forms' alternating
-    sums term by term; integrating the power directly, as
-    ``exp(m log1p(-Qfit))``, avoids their cancellation.  The nodes,
-    ``log1p(-Qfit)`` and ``c0 + c1 T`` do not depend on ``m`` and are built
-    once; each ``m`` takes one ``exp`` and the sums over the same (panels x
-    nodes) array a single ``m`` would.  Returns, per ``m``, the value and an
-    error estimate: the gap to the coarse rule plus a rounding allowance
-    that grows with the magnitude of each node's exponent.
-    """
-    lo = max(-lam / sigma, -_Z_MAX)
-    if lo >= _Z_MAX:
-        return [(0.0, 0.0)] * len(ms)
-    panels = math.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
-    half = 0.5 * (_Z_MAX - lo) / panels
-    mids = lo + half * (2.0 * np.arange(panels) + 1.0)
-    z = mids[:, None] + half * _GL_NODES
-    t = lam + sigma * z
-    q = np.exp(-(_K1 * t * t + _K2 * t + _K3))
-    log_fit = np.log1p(-q)
-    half_z2 = 0.5 * z * z
-    linear = c0 + c1 * t
-    gl = _GL_WEIGHTS * half / SQRT_2PI
-    out = []
-    for m in ms:
-        exponent = m * log_fit - half_z2
-        wf = linear * np.exp(exponent) * gl
-        fine = float(wf[:, _GL_FINE].sum())
-        coarse = float(wf[:, _GL_COARSE].sum())
-        rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
-        out.append((fine, abs(fine - coarse) + rounding))
-    return out
-
-
-def _fit_expectation(
-    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
-) -> list[tuple[float, float]]:
-    """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the
-    Q-fit, per power ``m`` of ``ms``.
-
-    Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
-    completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
-    Gaussian segment integral per ``m``.  Above 0, ``Phi = 1 - Q`` gives
-    :func:`_tail_power_integral`.  The error estimate is that integral's
-    plus a rounding allowance for the segment term, which grows with the
-    magnitude of the parts of its exponent as the tail rule's does.
-    """
-    inv2 = 1.0 / (sigma * sigma)
-    out = []
-    for m, (tail, error) in zip(ms, _tail_power_integral(lam, sigma, ms, c0, c1)):
-        a = math.sqrt(2.0 * m * _K1 + inv2)
-        b = (m * _K2 + lam * inv2) / a
-        d = math.exp(-0.5 * (2.0 * m * _K3 + lam * lam * inv2 - b * b))
-        seg = gaussian_segment_integrals(a, b)
-        head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
-        rounding = _EPS * (16.0 + 0.5 * (2.0 * m * _K3 + lam * lam * inv2 + b * b)) * abs(head)
-        out.append((head + tail, error + rounding))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Closed-form asymptotic average secrecy capacity
 # ---------------------------------------------------------------------------
 
@@ -515,27 +433,25 @@ def _asymptotic_value(
     log_b = sum(ev.probability * math.log(ev.alpha_b) for ev in events)
     log_e = sum(ev.probability * math.log(ev.alpha_e) for ev in events)
     # The many-destination limit keeps only the destination's half line above 0.
-    dest_fit = _fit_expectation if keep_vanishing_terms else _tail_power_integral
-    dest_terms = dest_fit(0.0, 1.0, [n - 1 for n in ns], log_b + dest.m, dest.s)
-    totals = [n * value - (log_e + eav.m) for n, (value, _) in zip(ns, dest_terms)]
-    errors = [n * error for n, (_, error) in zip(ns, dest_terms)]
+    dest_fit = fit_expectation if keep_vanishing_terms else fit_tail_integral
+    value, error = dest_fit(0.0, 1.0, [n - 1 for n in ns], log_b + dest.m, dest.s)
+    counts = np.asarray(ns, dtype=float)
+    totals = counts * value - (log_e + eav.m)
+    errors = counts * error
 
     if keep_vanishing_terms:
         # The eavesdropper's clamp: its log rate where it beats every destination.
         for ev in events:
             lam = _event_offset(ev, dest, eav)
             c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            terms = _fit_expectation(lam, phi_e, ns, c0_e, eav.s / phi_e)
-            for k, (value, err) in enumerate(terms):
-                totals[k] -= ev.probability * value
-                errors[k] += ev.probability * err
+            value, error = fit_expectation(lam, phi_e, ns, c0_e, eav.s / phi_e)
+            totals -= ev.probability * value
+            errors += ev.probability * error
 
     method = "asymptotic" if keep_vanishing_terms else "asymptotic-large-n"
     results = [
-        SecrecyResult(
-            value=total / LN2, method=method, diagnostics={"integration_error": error / LN2}
-        )
-        for total, error in zip(totals, errors)
+        SecrecyResult(value=total, method=method, diagnostics={"integration_error": error})
+        for total, error in zip((totals / LN2).tolist(), (errors / LN2).tolist())
     ]
     return axis_results(results, destinations is not None)
 
@@ -581,7 +497,7 @@ def poi_closed_form(
     """Intercept probability through the Q-fit.
 
     Same contest factor ``E[Phi(phi_e t + lam)^N]`` as
-    :func:`poi_quadrature`, taken by :func:`_fit_expectation` per noise
+    :func:`poi_quadrature`, taken by :func:`fit_expectation` per noise
     event.  Transmit power never enters.  ``destinations`` works as in
     :func:`asc_asymptotic`.
     """
@@ -589,18 +505,17 @@ def poi_closed_form(
     dest, eav = effective_links(cfg.topology)
     phi_e = eav.s / dest.s
 
-    totals = [0.0] * len(ns)
-    errors = [0.0] * len(ns)
+    totals = np.zeros(len(ns))
+    errors = np.zeros(len(ns))
     for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
-        lam = _event_offset(ev, dest, eav)
-        for k, (value, err) in enumerate(_fit_expectation(lam, phi_e, ns, 1.0, 0.0)):
-            totals[k] += ev.probability * value
-            errors[k] += ev.probability * err
+        value, error = fit_expectation(_event_offset(ev, dest, eav), phi_e, ns, 1.0, 0.0)
+        totals += ev.probability * value
+        errors += ev.probability * error
 
     results = [
         SecrecyResult(
             value=total, method="closed-form-poi", diagnostics={"integration_error": error}
         )
-        for total, error in zip(totals, errors)
+        for total, error in zip(totals.tolist(), errors.tolist())
     ]
     return axis_results(results, destinations is not None)

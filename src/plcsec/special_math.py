@@ -6,19 +6,19 @@ Four building blocks live here:
   standard normal CDF Phi, its logarithm and its inverse, vectorized over
   numpy arrays on the standard library alone.  The CDF and log-CDF take
   one ``math.erfc`` call per element; the quantile is Wichura's AS241.
-* ``q_function`` -- the upper-tail probability Q(t) of a standard normal
-  at a scalar t, evaluated through ``erfc`` so that the tail keeps its
-  relative accuracy instead of collapsing to ``1 - Phi(t)`` cancellation
-  noise.  Q underflows to subnormals near t = 37.5 and to exactly 0 near
-  t = 38.5; ``normal_log_cdf`` goes on past that.
 * Gauss-Hermite rules in the *probabilists'* normalization, i.e. nodes and
   weights such that ``sum(w_i * f(z_i))`` approximates ``E[f(Z)]`` for a
   standard normal Z.  ``hermgauss`` supplies the physicists' rule for
   ``int exp(-x^2) g(x) dx``; substituting z = sqrt(2) x rescales nodes by
   sqrt(2) and weights by 1/sqrt(pi).
 * ``gaussian_segment_integrals`` -- the four half-axis moments of
-  ``exp(-(a t - b)^2 / 2) / sqrt(2 pi)``, which are the primitive integrals
-  every closed-form expression in :mod:`plcsec.metrics` reduces to.
+  ``exp(-(a t - b)^2 / 2) / sqrt(2 pi)``, elementwise over arrays of
+  ``(a, b)``.
+* ``fit_expectation`` -- ``E[(c0 + c1 T) Phi(T)^m]`` over a Gaussian T
+  through the exponential Q-fit ``DEFAULT_Q_APPROX``, with an error
+  estimate, per entry of an array of m: one segment integral below 0 and
+  ``fit_tail_integral``, a composite Gauss-Legendre rule, above it.  Every
+  closed form in :mod:`plcsec.metrics` is built from it.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError
 
@@ -40,12 +41,13 @@ __all__ = [
     "QuadratureRule",
     "SegmentIntegrals",
     "checked_quad_order",
+    "fit_expectation",
+    "fit_tail_integral",
     "gauss_hermite_rule",
     "gaussian_segment_integrals",
     "normal_cdf",
     "normal_log_cdf",
     "normal_quantile",
-    "q_function",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -124,9 +126,11 @@ def _upper_tail(a: np.ndarray) -> np.ndarray:
 def normal_cdf(x) -> np.ndarray:
     """Standard normal CDF ``Phi(x)`` of an array, from ``Q(|x|)``.
 
-    Below 0 the value is the tail ``Q(|x|)`` itself, so it keeps its
-    relative accuracy (5.2e-14 at worst, against mpmath) down to the
-    underflow near x = -37.5.
+    ``normal_cdf(-t)`` is the upper tail ``Q(t) = Pr[Z > t]``.  Below 0 the
+    value is the tail ``Q(|x|)`` itself, so it keeps its relative accuracy
+    (5.2e-14 at worst, against mpmath) until it underflows: to subnormals
+    near x = -37.5 and to exactly 0 near x = -38.5 (``normal_cdf(-40.0) ==
+    0.0``); it never goes negative.  ``normal_log_cdf`` goes on past that.
     """
     x = np.asarray(x, dtype=float)
     q = _upper_tail(np.abs(x))
@@ -230,25 +234,6 @@ def normal_quantile(p) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-def q_function(t: float) -> float:
-    """Upper-tail probability ``Q(t) = Pr[Z > t]`` of a standard normal.
-
-    Takes a real scalar; for an array, use ``normal_cdf(-t)``, which gives
-    the same values.  Uses ``erfc``, and from |t| = 20 on the asymptotic
-    series of :func:`normal_cdf`, so the tail keeps its relative accuracy
-    until it underflows: to subnormals near t = 37.5 and to exactly 0 near
-    t = 38.5 (``q_function(40.0) == 0.0``); it never goes negative.  With
-    |t| <= 20 it costs one ``math.erfc`` call.
-    """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("q_function requires finite input")
-    if abs(t) <= _SERIES_FROM:
-        q = 0.5 * math.erfc(abs(t) * SQRT1_2)
-        return q if t >= 0.0 else 1.0 - q
-    return float(normal_cdf(-t))
-
-
 def checked_quad_order(order) -> int:
     """``order`` as a Gauss-Hermite rule order, or :class:`ConfigError`.
 
@@ -287,28 +272,41 @@ class SegmentIntegrals(NamedTuple):
     ``i_neg_t + i_pos_t = b / a^2``.
     """
 
-    i_neg: float
-    i_neg_t: float
-    i_pos: float
-    i_pos_t: float
+    i_neg: np.ndarray
+    i_neg_t: np.ndarray
+    i_pos: np.ndarray
+    i_pos_t: np.ndarray
 
 
-def gaussian_segment_integrals(a: float, b: float) -> SegmentIntegrals:
-    """Closed forms of the four basic segment integrals for a > 0.
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    """``exp`` of an array by one libm call per element, as the scalar
+    formulas take it; ``np.exp`` rounds some elements differently."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
-    With ``Q`` the standard normal upper tail and ``phi`` its density:
+
+def gaussian_segment_integrals(a, b) -> SegmentIntegrals:
+    """Closed forms of the four basic segment integrals for a > 0,
+    elementwise over arrays ``a`` and ``b`` of one shape.
+
+    With ``Q(b) = normal_cdf(-b)`` the standard normal upper tail and
+    ``phi`` its density:
 
     * ``i_neg   = Q(b) / a``
     * ``i_neg_t = -phi(b) / a^2 + b Q(b) / a^2``
     * ``i_pos   = (1 - Q(b)) / a``
     * ``i_pos_t =  phi(b) / a^2 + b (1 - Q(b)) / a^2``
+
+    Raises :class:`DomainError` if any element of ``a`` or ``b`` is not
+    finite or any ``a`` is not positive.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("gaussian_segment_integrals requires finite (a, b)")
-    if a <= 0.0:
+    if (a <= 0.0).any():
         raise DomainError("gaussian_segment_integrals requires a > 0")
-    q_b = q_function(b)
-    phi_b = math.exp(-0.5 * b * b) / SQRT_2PI
+    q_b = normal_cdf(-b)
+    phi_b = _exp_each(-0.5 * b * b) / SQRT_2PI
     a2 = a * a
     return SegmentIntegrals(
         i_neg=q_b / a,
@@ -316,3 +314,85 @@ def gaussian_segment_integrals(a: float, b: float) -> SegmentIntegrals:
         i_pos=(1.0 - q_b) / a,
         i_pos_t=(phi_b + b * (1.0 - q_b)) / a2,
     )
+
+
+# Composite Gauss-Legendre rule in standard-normal units: panels of at most
+# _PANEL_WIDTH up to _Z_MAX (where the density is below 1e-330).  The
+# 8-node rule on the same panels, evaluated in the same pass, gives the
+# error estimate.
+_PANEL_WIDTH = 0.5
+_Z_MAX = 39.0
+_GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(16), leggauss(8)])
+_GL_FINE = slice(0, 16)
+_GL_COARSE = slice(16, None)
+_EPS = np.finfo(float).eps
+_K1, _K2, _K3 = DEFAULT_Q_APPROX
+
+
+def fit_tail_integral(
+    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``,
+    per power ``m`` of ``ms``.
+
+    Expanding ``(1 - Qfit)^m`` binomially gives the closed forms' alternating
+    sums term by term; integrating the power directly, as
+    ``exp(m log1p(-Qfit))``, avoids their cancellation.  The nodes,
+    ``log1p(-Qfit)`` and ``c0 + c1 T`` do not depend on ``m`` and are built
+    once; each ``m`` takes one ``exp`` and the sums over the same (panels x
+    nodes) array a single ``m`` would.  Returns the values and the error
+    estimates, one entry per ``m``: the gap to the coarse rule plus a
+    rounding allowance that grows with the magnitude of each node's
+    exponent.
+    """
+    values = np.zeros(len(ms))
+    errors = np.zeros(len(ms))
+    lo = max(-lam / sigma, -_Z_MAX)
+    if lo >= _Z_MAX:
+        return values, errors
+    panels = math.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
+    half = 0.5 * (_Z_MAX - lo) / panels
+    mids = lo + half * (2.0 * np.arange(panels) + 1.0)
+    z = mids[:, None] + half * _GL_NODES
+    t = lam + sigma * z
+    q = np.exp(-(_K1 * t * t + _K2 * t + _K3))
+    log_fit = np.log1p(-q)
+    half_z2 = 0.5 * z * z
+    linear = c0 + c1 * t
+    gl = _GL_WEIGHTS * half / SQRT_2PI
+    for k, m in enumerate(ms):
+        exponent = m * log_fit - half_z2
+        wf = linear * np.exp(exponent) * gl
+        fine = float(wf[:, _GL_FINE].sum())
+        coarse = float(wf[:, _GL_COARSE].sum())
+        rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
+        values[k] = fine
+        errors[k] = abs(fine - coarse) + rounding
+    return values, errors
+
+
+def fit_expectation(
+    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the
+    Q-fit, per power ``m`` of ``ms``: the values and the error estimates.
+
+    Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
+    completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
+    Gaussian segment integral per ``m``, all taken in one call.  Above 0,
+    ``Phi = 1 - Q`` gives :func:`fit_tail_integral`.  The error estimate is
+    that integral's plus a rounding allowance for the segment term, which
+    grows with the magnitude of the parts of its exponent as the tail
+    rule's does.
+    """
+    tail, error = fit_tail_integral(lam, sigma, ms, c0, c1)
+    m = np.asarray(ms, dtype=float)
+    inv2 = 1.0 / (sigma * sigma)
+    a = np.sqrt(2.0 * m * _K1 + inv2)
+    b = (m * _K2 + lam * inv2) / a
+    square = 2.0 * m * _K3 + lam * lam * inv2
+    d = _exp_each(-0.5 * (square - b * b))
+    seg = gaussian_segment_integrals(a, b)
+    head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
+    rounding = _EPS * (16.0 + 0.5 * (square + b * b)) * np.abs(head)
+    return head + tail, error + rounding

@@ -3,8 +3,9 @@
 Each tail power ``(1 - Qfit)^M`` in the closed forms expands binomially into
 an alternating sum; the oracle below evaluates that sum term by term in
 mpmath, with working precision growing with N so that the exp(0.55 N)
-cancellation is absorbed, and rounds once at the end.  It shares no code with :mod:`plcsec.metrics`,
-which integrates the same tail power directly in double precision.
+cancellation is absorbed, and rounds once at the end.  It shares no code
+with :func:`plcsec.special_math.fit_tail_integral`, which integrates the
+same tail power directly in double precision.
 """
 
 import math
@@ -13,7 +14,6 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-import plcsec.metrics as metrics_mod
 from plcsec import (
     DEFAULT_Q_APPROX,
     ScenarioParams,
@@ -23,6 +23,7 @@ from plcsec import (
     noise_events,
     poi_closed_form,
 )
+from plcsec.special_math import fit_tail_integral
 
 # s_b/s_e spread ratios 1, 3 and 1/3; the second scenario is the one whose
 # double-precision sums once gave negative intercept probabilities.
@@ -151,7 +152,7 @@ def test_integration_error_bounds_gap_to_sums(name, n):
             (lam, phi_e, n, eav_c),
             (lam, phi_e, n, (1.0, 0.0)),
         ):
-            [(value, error)] = metrics_mod._tail_power_integral(shift, scale, [m], c0, c1)
+            [value], [error] = fit_tail_integral(shift, scale, [m], c0, c1)
             mass, first = mp_tail_moments(shift, scale, m)
             with mpmath.workdps(_precision(m)):
                 expected = float(c0 * mass + c1 * first)
@@ -177,7 +178,8 @@ def test_tail_integral_is_zero_past_the_window(lam, sigma):
     # With lam / sigma <= -39 the half line T > 0 lies beyond the rule's
     # window: the weight there is below 1e-330, which double precision
     # cannot hold.
-    assert metrics_mod._tail_power_integral(lam, sigma, [0, 1, 40], 1.0, 1.0) == [(0.0, 0.0)] * 3
+    values, errors = fit_tail_integral(lam, sigma, [0, 1, 40], 1.0, 1.0)
+    assert values.tolist() == errors.tolist() == [0.0] * 3
     for m in (0, 1, 40):
         mass, first = mp_tail_moments(lam, sigma, m)
         assert float(mass) == 0.0 and float(first) == 0.0

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import plcsec
 from plcsec import (
@@ -44,16 +44,14 @@ from plcsec import (
     noise_states,
     poi_closed_form,
     poi_quadrature,
-    q_function,
 )
 from plcsec.metrics import (
     _RATE_BLOCK,
     _SKIP_EPS,
     _event_offset,
-    _fit_expectation,
     _kept_nodes,
 )
-from plcsec.special_math import normal_cdf, normal_log_cdf
+from plcsec.special_math import fit_expectation, normal_cdf, normal_log_cdf
 
 LN2 = math.log(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -283,7 +281,7 @@ def asc_oracle_no_shared(cfg):
                 gain_b = math.exp(dest.m + dest.s * zb)
                 rate_b = math.log1p(power * ev.alpha_b * gain_b) / LN2
                 dens = (
-                    n * (1.0 - q_function(zb)) ** (n - 1) * float(normal_pdf(zb))
+                    n * float(special.ndtr(zb)) ** (n - 1) * float(normal_pdf(zb))
                 )
                 return (rate_b - rate_e) * dens
 
@@ -765,8 +763,8 @@ class TestAsymptoticConstants:
         # At m = 0 the completed square must be the bare density of T
         # (a = 1/sigma, b = lam/sigma, d = 1), so both halves add up to the
         # mass 1 and the mean lam.
-        [(mass, _)] = _fit_expectation(lam, sigma, [0], 1.0, 0.0)
-        [(mean, _)] = _fit_expectation(lam, sigma, [0], 0.0, 1.0)
+        [mass], _ = fit_expectation(lam, sigma, [0], 1.0, 0.0)
+        [mean], _ = fit_expectation(lam, sigma, [0], 0.0, 1.0)
         assert abs(mass - 1.0) <= 1e-12
         assert abs(mean - lam) <= 1e-12
 

@@ -45,13 +45,13 @@ PUBLIC = [
     "noise_states",
     "poi_closed_form",
     "poi_quadrature",
-    "q_function",
     "rows_to_csv",
     "run_sweep",
 ]
 
-# Helpers that only tests ever called, and the SNR-factor helpers that
-# noise_states replaced, by the module that defined them.
+# Helpers that only tests ever called, the SNR-factor helpers that
+# noise_states replaced and the scalar twin of normal_cdf(-t), by the module
+# that defined them.
 REMOVED = {
     "channel": [
         "best_destination_cdf",
@@ -67,7 +67,7 @@ REMOVED = {
         "instantaneous_secrecy_capacity",
     ],
     "noise": ["alpha_factors", "alpha_factors_tilde", "sample_noise_state"],
-    "special_math": ["QApproxParams", "expect_standard_normal", "q_approx"],
+    "special_math": ["QApproxParams", "expect_standard_normal", "q_approx", "q_function"],
 }
 
 MODULES = [

@@ -1,4 +1,4 @@
-"""Normal CDF and quantile, tail function, quadrature rule and segment-integral tests.
+"""Normal CDF and quantile, upper tail, quadrature rule, segment-integral and Q-fit tests.
 
 Expected values are either analytic, frozen from an independent oracle
 (high-precision erfc, adaptive quadrature) or computed by one (mpmath,
@@ -21,9 +21,13 @@ from plcsec import (
     DomainError,
     gauss_hermite_rule,
     gaussian_segment_integrals,
-    q_function,
 )
-from plcsec.special_math import normal_cdf, normal_log_cdf, normal_quantile
+from plcsec.special_math import (
+    fit_expectation,
+    normal_cdf,
+    normal_log_cdf,
+    normal_quantile,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -33,48 +37,35 @@ def normal_pdf(t):
 
 
 class TestQFunction:
+    """The upper tail ``Q(t) = normal_cdf(-t)``."""
+
     def test_half_at_zero(self):
-        assert q_function(0.0) == 0.5
+        assert normal_cdf(-0.0) == 0.5
 
     def test_frozen_erfc_value(self):
         # 0.5 * erfc(1/sqrt(2)) evaluated at high precision.
-        assert q_function(1.0) == pytest.approx(0.15865525393145707, abs=1e-16)
+        assert normal_cdf(-1.0) == pytest.approx(0.15865525393145707, abs=1e-16)
 
     def test_deep_tail_underflows_cleanly(self):
-        v = q_function(40.0)
+        v = normal_cdf(-40.0)
         assert 0.0 <= v < 1e-300
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            q_function(float("nan"))
-        with pytest.raises(DomainError):
-            q_function(-math.inf)
-
-    def test_takes_scalars_only(self):
-        # Arrays go through normal_cdf(-t).
-        with pytest.raises(TypeError):
-            q_function(np.array([0.0, 1.0]))
 
     @given(st.floats(min_value=-40.0, max_value=40.0))
     def test_reflection_identity(self, t):
-        assert q_function(t) + q_function(-t) == pytest.approx(1.0, abs=1e-14)
+        assert normal_cdf(-t) + normal_cdf(t) == pytest.approx(1.0, abs=1e-14)
 
     def test_strictly_decreasing(self):
         # In float64 the value saturates to exactly 1.0 below t ~ -8; test
         # strict monotonicity on the range where steps are representable.
         t = np.linspace(-6.0, 6.0, 1201)
-        assert np.all(np.diff([q_function(float(v)) for v in t]) < 0.0)
-
-    def test_scalar_path_matches_array_path(self):
-        t = np.concatenate([np.linspace(-39.0, 39.0, 781), [-20.0, 20.0, 20.5]])
-        assert [q_function(float(v)) for v in t] == normal_cdf(-t).tolist()
+        assert np.all(np.diff(normal_cdf(-t)) < 0.0)
 
     def test_underflow_points(self):
         # Q is subnormal from t ~ 37.5 and exactly 0 from t ~ 38.5 on.
-        assert q_function(37.4) > 2.2250738585072014e-308 > q_function(37.6) > 0.0
-        assert q_function(38.4) > 0.0
-        assert q_function(38.5) == 0.0
-        assert q_function(40.0) == 0.0
+        assert normal_cdf(-37.4) > 2.2250738585072014e-308 > normal_cdf(-37.6) > 0.0
+        assert normal_cdf(-38.4) > 0.0
+        assert normal_cdf(-38.5) == 0.0
+        assert normal_cdf(-40.0) == 0.0
 
 
 # Grids over which the normal CDF, log-CDF and quantile meet their stated
@@ -155,7 +146,7 @@ class TestNormalCdf:
     def test_log_cdf_keeps_the_upper_tail(self):
         # Phi(8) rounds to 1 - 6e-16; its log must be -Q(8), not 0.
         value = float(normal_log_cdf(8.0))
-        assert value == pytest.approx(-q_function(8.0), rel=1e-13)
+        assert value == pytest.approx(-sps.ndtr(-8.0), rel=1e-13)
         assert value == pytest.approx(float(mp_log_cdf(8.0)), rel=1e-13)
 
     def test_log_cdf_stays_finite_past_the_cdf_underflow(self):
@@ -212,7 +203,7 @@ class TestQApprox:
         assert _tail_fit(1.0, flat) == pytest.approx(1.0)
 
     def test_close_to_q_function_at_two(self):
-        rel = abs(_tail_fit(2.0) - q_function(2.0)) / q_function(2.0)
+        rel = abs(_tail_fit(2.0) - normal_cdf(-2.0)) / normal_cdf(-2.0)
         assert rel < 0.05
 
     def test_envelope_on_grid(self):
@@ -363,3 +354,39 @@ class TestGaussianSegmentIntegrals:
             gaussian_segment_integrals(0.0, 1.0)
         with pytest.raises(DomainError):
             gaussian_segment_integrals(-1.0, 1.0)
+
+    def test_arrays_match_elementwise_scalar_calls(self):
+        a = np.array([0.05, 0.3, 1.0, 2.0, 7.5, 20.0, 300.0, 1.0, 1.0, 2.0])
+        b = np.array([-8.0, -0.4, 0.0, 1.0, 3.7, 19.9, 20.5, -25.0, 38.0, 45.0])
+        seg = gaussian_segment_integrals(a, b)
+        for got, field in zip(seg, seg._fields):
+            expected = [
+                float(getattr(gaussian_segment_integrals(x, y), field)) for x, y in zip(a, b)
+            ]
+            assert got.tolist() == expected, field
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1.0, 2.0, 3.0], [0.0, math.nan, 1.0]), ([1.0, 0.0, 3.0], [0.0, 0.5, 1.0])],
+    )
+    def test_one_bad_element_raises(self, a, b):
+        with pytest.raises(DomainError):
+            gaussian_segment_integrals(np.array(a), np.array(b))
+
+
+class TestFitExpectation:
+    @pytest.mark.parametrize(
+        "lam, sigma, c0, c1",
+        [
+            (0.0, 1.0, -1.2, 0.8),
+            (-1.5, 0.6, 1.0, 0.0),
+            (2.5, 3.0, 0.3, -0.7),
+            (-20.0, 0.5, 1.0, 1.0),
+        ],
+    )
+    def test_axis_matches_single_m_calls(self, lam, sigma, c0, c1):
+        ms = [0, 1, 40, 1000]
+        values, errors = fit_expectation(lam, sigma, ms, c0, c1)
+        singles = [fit_expectation(lam, sigma, [m], c0, c1) for m in ms]
+        assert values.tolist() == [float(v[0]) for v, _ in singles]
+        assert errors.tolist() == [float(e[0]) for _, e in singles]
