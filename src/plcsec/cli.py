@@ -2,9 +2,15 @@
 
 Subcommands::
 
-    plcsec sweep CONFIG [--out FILE]      run one sweep config, emit CSV
+    plcsec sweep CONFIG [--out FILE] [--workers K]
+                                          run one sweep config, emit CSV
     plcsec preset NAME [--out FILE] [--samples K] [--quad-order L] [--seed S]
+                  [--workers K]           run a named preset's sweeps
     plcsec validate CONFIG                parse + validate, print resolved form
+
+``--workers`` sets the Monte Carlo threads, which never change a result:
+``sweep`` defaults to the config's ``monte_carlo.workers``, ``preset`` to
+the number of CPUs this process may run on.
 
 Exit status: 0 on success, 1 if any sweep point failed (remaining rows are
 still emitted), 2 on configuration errors.
@@ -13,6 +19,7 @@ still emitted), 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -50,7 +57,7 @@ def _report_errors(errors: list[SweepError], label: str = "") -> None:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_config(args.config)
+    spec = _apply_overrides(load_config(args.config), args)
     with _output(args.out) as fh:
         rows, errors = run_sweep(spec)
         fh.write(rows_to_csv(rows))
@@ -59,11 +66,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    if args.samples is not None:
-        spec = replace(spec, mc=replace(spec.mc, samples=args.samples))
-    if args.seed is not None:
-        spec = replace(spec, mc=replace(spec.mc, seed=args.seed))
-    if args.quad_order is not None:
+    for name in ("samples", "seed", "workers"):
+        value = getattr(args, name, None)
+        if value is not None:
+            spec = replace(spec, mc=replace(spec.mc, **{name: value}))
+    if getattr(args, "quad_order", None) is not None:
         spec = replace(spec, quadrature_order=args.quad_order)
     return spec
 
@@ -88,6 +95,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plcsec",
@@ -99,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a sweep config and emit CSV")
     p_sweep.add_argument("config", type=Path, help="YAML sweep configuration")
     p_sweep.add_argument("--out", type=Path, default=None, help="write CSV here instead of stdout")
+    p_sweep.add_argument(
+        "--workers", type=int, default=None,
+        help="Monte Carlo threads (default: the config's monte_carlo.workers)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_preset = sub.add_parser(
@@ -110,6 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--samples", type=int, default=None, help="Monte Carlo samples per point")
     p_preset.add_argument("--quad-order", type=int, default=None, help="Gauss-Hermite order")
     p_preset.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
+    p_preset.add_argument(
+        "--workers", type=int, default=_usable_cpus(),
+        help="Monte Carlo threads (default: the usable CPU count)",
+    )
     p_preset.set_defaults(func=_cmd_preset)
 
     p_val = sub.add_parser("validate", help="validate a config and print the resolved form")

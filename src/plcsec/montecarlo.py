@@ -5,10 +5,13 @@ never touches the quadrature or closed-form code, it just simulates the
 system definition directly.  Per trial it draws the shared gain, the
 scheduled (strongest) destination's branch gain, the eavesdropper branch
 gain and one Bernoulli noise state per node class, and scores the realized
-clamped rate difference (or intercept indicator).  The strongest of N i.i.d.
-branches is drawn directly from the elementary CDF of a maximum, ``Phi^N``,
-by inversion of one uniform, so a trial costs the same at any N; the
-brute-force N-branch sampler lives on in the tests as an oracle.  The
+clamped rate difference (or intercept indicator).  The clamped rate
+difference is one ``log1p`` per trial and power, ``log1p(d / (x_e + 1/P))``
+over the power-free gain gap ``d`` (see :func:`_secrecy_samples`), and each
+step of a block writes into an array the block owns.  The strongest of N
+i.i.d. branches is drawn directly from the elementary CDF of a maximum,
+``Phi^N``, by inversion of one uniform, so a trial costs the same at any N;
+the brute-force N-branch sampler lives on in the tests as an oracle.  The
 inversion is the vectorized AS241 quantile of :mod:`plcsec.special_math`,
 within 7e-16 relative of the exact quantile of each uniform; no analytical
 route uses it, so the cross-check stays independent.
@@ -37,7 +40,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,23 +120,33 @@ def _best_of_n_normals(
     """
     u = rng.random(m)
     with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    draws = (-normal_quantile(-np.expm1(log_u / n)) for n in ns)
+        log_u = np.log(u, out=u)
+    draws = (_best_draw(log_u, n) for n in ns)
     return itertools.chain(list(itertools.islice(draws, 1)), draws)
 
 
+def _best_draw(log_u: np.ndarray, n: int) -> np.ndarray:
+    """``-Phi^-1(-expm1(log_u / n))``, each step after the division in place."""
+    t = np.divide(log_u, n)
+    np.expm1(t, out=t)
+    z = normal_quantile(np.negative(t, out=t))
+    return np.negative(z, out=z)
+
+
 def _asc_estimate(mc: McConfig, z: float, partials: list) -> SecrecyResult | EvaluationError:
-    """Mean and CI, at ``z`` standard errors, from per-block ``(sum, sum of
-    squares)``, or the error of the first block that had a non-finite sample."""
+    """Mean and CI in bits/use, at ``z`` standard errors, from per-block
+    ``(sum, sum of squares)`` of samples in nats, or the error of the first
+    block that had a non-finite sample.  The samples convert to bits here,
+    once per result."""
     for part in partials:
         if isinstance(part, EvaluationError):
             return part
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     count = mc.samples
-    mean = total / count
+    mean = total / count / LN2
     var = max(total_sq - total * total / count, 0.0) / (count - 1)
-    half = z * math.sqrt(var / count)
+    half = z * math.sqrt(var / count) / LN2
     return SecrecyResult(value=mean, method="monte-carlo", ci_halfwidth=half)
 
 
@@ -151,9 +164,18 @@ def mc_asc(
     probability-weighted mixture; the mixture is what the analytical routes
     integrate, and both have the same expectation.
 
+    A trial's sample is taken in nats as ``log1p(d / (x_e + 1/P))``, where
+    ``x = alpha * g`` is each side's power-free SNR factor times its gain
+    and ``d = max(x_b - x_e, 0)``, and converted to bits once per result.
+    Where ``P x`` overflows, as at 3000 dB, the sample stays finite and the
+    estimate saturates; a sample that still overflows, or an infinite
+    gain, is reported by trial index.
+
     With ``powers``, a sequence of linear transmit powers, each block draws
-    its trials once and scores them at every power in turn (common random
-    numbers), and a list with one entry per power is returned: entry ``k``
+    its trials, forms ``x_e`` and ``d`` once and scores them at every power
+    in turn (common random numbers): per power one buffer takes
+    ``x_e + 1/P``, the division, the ``log1p`` and the two sums.  A list
+    with one entry per power is returned: entry ``k``
     is bit for bit the result of ``mc_asc(replace(cfg,
     transmit_power=powers[k]), mc)``, or the :class:`EvaluationError` that
     call raises.  ``cfg.transmit_power`` is then not used.
@@ -163,8 +185,8 @@ def mc_asc(
     bit the call on ``cfg`` with ``n_destinations = destinations[k]``, or
     the error that call raises, and ``cfg.topology.n_destinations`` is not
     used.  A block's draws do not depend on the count, so each block draws
-    them, and takes the eavesdropper's rates, once; per count it forms only
-    the best destination's draw, its rates and the score.  At most one of
+    them, and forms ``x_e + 1/P``, once; per count it forms only the best
+    destination's draw, ``d`` and the score.  At most one of
     ``powers`` and ``destinations`` may be given.
     """
     axis, ns = route_axes(cfg, powers, destinations)
@@ -185,22 +207,29 @@ def mc_asc(
         at_b = np.where(rng.random(m) < p_b, at2b, at1b)
         at_e = np.where(rng.random(m) < p_e, at2e, at1e)
 
-        # Overflow leaves a non-finite sample, which scoring reports.
+        # Overflow leaves a non-finite sample, which scoring reports.  Each
+        # step writes into an array this block owns.
         with np.errstate(over="ignore", invalid="ignore"):
-            ln_shared = src.s * z_a + src.m if topo.pinhole_present else 0.0
-            gain_ee = np.exp(ln_shared + eav.s * z_e + eav.m)
+            ln_shared = None
+            if topo.pinhole_present:
+                ln_shared = z_a
+                ln_shared *= src.s
+                ln_shared += src.m
+            x_e = _power_free_gain(z_e, eav, ln_shared, at_e)
             # Not read again: dropped, they leave room for the per-count draws.
-            del z_a, z_e
-            # One power serves every count with one set of eavesdropper
-            # rates; a power axis (one count) takes them power by power.
-            shared_e = _log_rates(axis[0], at_e, gain_ee) if len(axis) == 1 else None
+            del z_a, at_e
+            # One power serves every count with one denominator; a power
+            # axis (one count) forms it power by power into one buffer.
+            one_power = len(axis) == 1
+            den = np.add(x_e, 1.0 / axis[0]) if one_power else np.empty(m)
             scores = []
             for z_best in z_bests:
-                gain_bn = np.exp(ln_shared + dest.s * z_best + dest.m)
-                # One power at a time: a (powers x trials) array would not stay small.
-                for power in axis:
-                    rate_e = _log_rates(power, at_e, gain_ee) if shared_e is None else shared_e
-                    scores.append(_score(_log_rates(power, at_b, gain_bn), rate_e))
+                x_b = _power_free_gain(z_best, dest, ln_shared, at_b)
+                if one_power:
+                    dens, out = (den,), x_b
+                else:
+                    dens, out = (np.add(x_e, 1.0 / power, out=den) for power in axis), den
+                scores.extend(map(_score, _secrecy_samples(x_b, x_e, dens, out)))
             return scores
 
     partials = _run_blocks(mc, run_one)
@@ -211,22 +240,44 @@ def mc_asc(
     return axis_results(results, powers is not None or destinations is not None)
 
 
-def _log_rates(power: float, at: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """``log1p(power * at * gain)`` per trial, in place to spare the temporaries."""
-    rate = np.multiply(power, at)
-    rate *= gain
-    return np.log1p(rate, out=rate)
+def _power_free_gain(z: np.ndarray, link, ln_shared: np.ndarray | None, at: np.ndarray):
+    """``at * exp(ln_shared + link.s * z + link.m)``, the side's SNR factor
+    times its gain, written over ``z``."""
+    z *= link.s
+    if ln_shared is not None:
+        z += ln_shared
+    z += link.m
+    np.exp(z, out=z)
+    z *= at
+    return z
 
 
-def _score(rate_b: np.ndarray, rate_e: np.ndarray) -> tuple | EvaluationError:
-    """Sum and sum of squares of one block's secrecy samples from the two
-    sides' rates, or the error naming its first non-finite sample.
-    ``rate_b`` is overwritten."""
-    cs = np.subtract(rate_b, rate_e, out=rate_b)
-    np.maximum(cs, 0.0, out=cs)
-    cs /= LN2
-    # Each clamped sample is >= 0, NaN or +inf, and at most 1024 when
-    # finite, so the sum is finite exactly when every sample is.
+def _secrecy_samples(
+    x_b: np.ndarray, x_e: np.ndarray, dens: Iterable[np.ndarray], out: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Per denominator ``x_e + 1/P`` of ``dens``, one secrecy sample per
+    trial in nats, written to ``out``.
+
+    ``max(log1p(P x_b) - log1p(P x_e), 0)`` is ``log1p(d / (x_e + 1/P))``
+    with ``d = max(x_b - x_e, 0)``: one ``log1p`` per trial and power.  It
+    stays finite where ``P x`` overflows, and unlike the difference of two
+    ``log1p`` it does not cancel where the two rates nearly agree.  ``d`` is
+    formed once, over ``x_b``; ``d = 0`` scores exactly 0.  ``out`` may be
+    ``x_b`` when there is one denominator, or the buffer each denominator
+    is formed in.
+    """
+    d = np.subtract(x_b, x_e, out=x_b)
+    np.maximum(d, 0.0, out=d)
+    for den in dens:
+        np.divide(d, den, out=out)
+        yield np.log1p(out, out=out)
+
+
+def _score(cs: np.ndarray) -> tuple | EvaluationError:
+    """Sum and sum of squares of one block's secrecy samples, in nats, or
+    the error naming its first non-finite sample.  ``cs`` is overwritten."""
+    # Each sample is >= 0, NaN or +inf, and below 710 when finite, so the
+    # sum is finite exactly when every sample is.
     total = float(cs.sum())
     if not math.isfinite(total):
         return EvaluationError(
@@ -260,16 +311,22 @@ def mc_poi(
 
     def run_one(rng: np.random.Generator, m: int) -> list:
         z_bests = _best_of_n_normals(rng, m, ns)
-        ln_eav = eav.s * rng.standard_normal(m) + eav.m
+        ln_eav = rng.standard_normal(m)
+        ln_eav *= eav.s
+        ln_eav += eav.m
         level_b = np.where(rng.random(m) < p_b, log_b[1], log_b[0])
         rhs = np.where(rng.random(m) < p_e, log_e[1], log_e[0])
         rhs += ln_eav
         # Not read again: dropped, it leaves room for the per-count draws.
         del ln_eav
-        return [
-            int(np.count_nonzero(level_b + (dest.s * z_best + dest.m) < rhs))
-            for z_best in z_bests
-        ]
+        hits = []
+        for z in z_bests:
+            # level_b + (s z + m), formed in place.
+            z *= dest.s
+            z += dest.m
+            z += level_b
+            hits.append(int(np.count_nonzero(z < rhs)))
+        return hits
 
     partials = _run_blocks(mc, run_one)
     z = _z_score(mc.confidence)

@@ -213,14 +213,19 @@ def normal_quantile(p) -> np.ndarray:
     ``p = 1`` gives ``+inf``, without a warning.  The tail branch
     (``|p - 1/2| > 0.425``, ``r = sqrt(-log min(p, 1 - p)) <= 5``), which
     holds most best-of-N draws, runs over the whole array; the central and
-    far branches run only where they apply.
+    far branches run only where they apply.  ``r`` is formed in one array,
+    each step after ``1 - p`` in place, with the bits of the plain
+    expression.
     """
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
     q = flat - 0.5
     # r is +inf at p = 0 and p = 1, where the ratios give inf / inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(-np.log(np.minimum(flat, 1.0 - flat)))
+        r = np.subtract(1.0, flat)
+        np.minimum(flat, r, out=r)
+        np.log(r, out=r)
+        np.sqrt(np.negative(r, out=r), out=r)
         out = _ppnd_ratio(r - 1.6, _PPND_TAIL)
         far = np.flatnonzero(r > 5.0)
         if far.size:

@@ -184,7 +184,7 @@ def test_criterion_06_poi_triple_agreement():
         if abs(quad - closed) > max(0.01, 0.05 * quad):
             failures.append(("closed-form", n, quad, closed))
         worst_pair = max(worst_pair, abs(quad - closed) / quad)
-        est = mc_poi(cfg, McConfig(samples=10_000_000, seed=600 + n))
+        est = mc_poi(cfg, McConfig(samples=10_000_000, seed=600 + n, workers=2))
         sigma = math.sqrt(max(est.value * (1.0 - est.value), 1e-16) / 10_000_000)
         if abs(est.value - quad) > 3.0 * sigma:
             failures.append(("monte-carlo", n, quad, est.value))

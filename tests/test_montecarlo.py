@@ -10,6 +10,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
@@ -174,8 +175,9 @@ class TestMcAsc:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_power_axis_matches_calls_one_power_at_a_time(self, workers):
-        # 200000 samples span 4 blocks; the rates overflow at 1e300 alone.
-        cfg = make_config(n=3, m_b=50.0, m_e=50.0)
+        # 200000 samples span 4 blocks.  d / (x_e + 1/P) overflows at 1e300
+        # alone: the eavesdropper's gain, near e^-300, is then below 1/P.
+        cfg = make_config(n=3, m_b=450.0, m_e=-300.0, pinhole=False)
         mc = McConfig(samples=200_000, seed=77, workers=workers)
         powers = (0.1, 100.0, 1e6, 1e300, 2.5)
         axis = mc_asc(cfg, mc, powers=powers)
@@ -188,6 +190,14 @@ class TestMcAsc:
                 assert isinstance(got, EvaluationError) and str(got) == str(exc.value)
             else:
                 assert got == mc_asc(one, mc)
+
+    def test_saturates_where_the_rates_overflow(self):
+        # P x overflows at 1e300, but the sample log1p(d / (x_e + 1/P)) does
+        # not: with gains near e^50, 1/P is lost in x_e + 1/P from 1e6 on.
+        cfg = make_config(n=3, m_b=50.0, m_e=50.0)
+        mc = McConfig(samples=200_000, seed=77)
+        top, mid = mc_asc(cfg, mc, powers=(1e300, 1e6))
+        assert top == mid and math.isfinite(top.value) and top.value > 0.0
 
     def test_power_axis_rejects_bad_powers(self):
         with pytest.raises(ConfigError, match="transmit_power"):
@@ -204,6 +214,55 @@ class TestMcAsc:
         res = mc_asc(cfg, McConfig(samples=100_000, seed=5))
         assert res.method == "monte-carlo"
         assert res.ci_halfwidth > 0.0
+
+
+def secrecy_sample(x_b, x_e, power):
+    """The sampler's secrecy samples, in nats, at per-trial powers."""
+    (cs,) = mc_mod._secrecy_samples(x_b.copy(), x_e, [x_e + 1.0 / power], np.empty_like(x_b))
+    return cs
+
+
+def exact_secrecy_sample(x_b, x_e, power):
+    """``max(log1p(P x_b) - log1p(P x_e), 0)`` at 60 digits, rounded once."""
+    with mpmath.workdps(60):
+        b, e, p = (mpmath.mpf(float(v)) for v in (x_b, x_e, power))
+        return float(max(mpmath.log1p(p * b) - mpmath.log1p(p * e), 0))
+
+
+class TestSecrecySample:
+    def test_matches_mpmath_on_random_and_cancelling_gains(self):
+        rng = np.random.default_rng(2024)
+        n = 1000
+        x_e = 10.0 ** rng.uniform(-12, 12, 2 * n)
+        # Half independent, half within 1e-6 of x_e; every fourth of those
+        # within 3 ulp of it, where the two rates nearly cancel.
+        x_b = np.concatenate([10.0 ** rng.uniform(-12, 12, n),
+                              x_e[n:] * (1.0 + rng.uniform(-1e-6, 1e-6, n))])
+        x_b[n::4] = x_e[n::4] + rng.integers(-3, 4, n // 4) * np.spacing(x_e[n::4])
+        power = 10.0 ** rng.uniform(-3, 9, 2 * n)
+        got = secrecy_sample(x_b, x_e, power)
+        want = np.array([exact_secrecy_sample(*t) for t in zip(x_b, x_e, power)])
+        pos = want > 0.0
+        assert 0 < np.count_nonzero(~pos) < pos.size
+        assert np.all(got[~pos] == 0.0)
+        assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 2.0 * 2.0**-52
+
+    def test_no_gap_scores_exactly_zero(self):
+        x_e = np.array([0.0, 1e-300, 1.0, 3.5e7, 1e300, np.inf])
+        # inf - inf is NaN: an infinite x_b is tested below.
+        for x_b in (np.minimum(x_e, 1e308), 0.5 * np.minimum(x_e, 1e308)):
+            got = secrecy_sample(x_b, x_e, np.full(x_e.size, 1e6))
+            assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("x_e_at_index", [1.0, np.inf], ids=["finite-eav", "infinite-eav"])
+    def test_an_infinite_gain_is_a_non_finite_sample(self, x_e_at_index):
+        x_b = np.full(8, 2.0)
+        x_e = np.ones(8)
+        x_b[5], x_e[5] = np.inf, x_e_at_index
+        with np.errstate(invalid="ignore"):
+            err = mc_mod._score(secrecy_sample(x_b, x_e, np.full(8, 10.0)))
+        assert isinstance(err, EvaluationError)
+        assert str(err) == "non-finite secrecy sample at trial index 5"
 
 
 class TestBestOfNSampler:

@@ -316,8 +316,8 @@ class TestRunSweep:
 
     def test_config_errors_at_both_ends_of_a_power_axis(self):
         # -4000 dB underflows and 4000 dB overflows the linear power, so
-        # neither point has a configuration; at 3000 dB the rates overflow,
-        # which only the power-dependent routes see.
+        # neither point has a configuration; at 3000 dB the quadrature rates
+        # overflow.  The MC sample, log1p(d / (x_e + 1/P)), stays finite.
         def sweep(values):
             base = ScenarioParams(m_b_db=100.0, m_e_db=100.0)
             return run_sweep(small_spec(values=values, methods=sweep_mod.ASC_METHODS,
@@ -331,15 +331,15 @@ class TestRunSweep:
             messages[value] = str(info.value)
         assert [(e.axis_value, e.method) for e in errors] == (
             [(-4000.0, m) for m in sweep_mod.ASC_METHODS]
-            + [(3000.0, "quadrature"), (3000.0, "monte-carlo")]
+            + [(3000.0, "quadrature")]
             + [(4000.0, m) for m in sweep_mod.ASC_METHODS]
         )
         for e in errors:
             if e.axis_value in messages:
                 assert e.message == messages[e.axis_value]
-        assert [(r.axis_value, r.method) for r in rows if r.axis_value == 3000.0] == [
-            (3000.0, "asymptotic"), (3000.0, "asymptotic-large-n"),
-        ]
+        top = [r for r in rows if r.axis_value == 3000.0]
+        assert [r.method for r in top] == ["asymptotic", "asymptotic-large-n", "monte-carlo"]
+        assert math.isfinite(top[-1].value)
         alone, alone_errors = sweep((20.0,))
         assert alone_errors == []
         assert [r for r in rows if r.axis_value == 20.0] == alone
@@ -699,8 +699,9 @@ class TestCli:
         assert "4000" in captured.err and "ERROR" in captured.err
 
     def test_monte_carlo_error_stays_at_its_point(self, tmp_path):
-        # At 3000 dB the rates overflow: quadrature and MC fail there alone,
-        # and the 20 dB MC row is the one a sweep of 20 dB alone gives.
+        # At 3000 dB the quadrature rates overflow: quadrature fails there
+        # alone, MC gives a finite row, and the 20 dB MC row is the one a
+        # sweep of 20 dB alone gives.
         def sweep(values):
             cfg = tmp_path / "huge.yaml"
             cfg.write_text(
@@ -721,11 +722,16 @@ class TestCli:
         both, alone = sweep("[20, 3000]"), sweep("[20]")
         assert both.returncode == 1 and alone.returncode == 0, both.stderr
         errors = both.stderr.splitlines()
-        assert len(errors) == 2
-        assert all("ERROR axis=3000.0" in line for line in errors)
-        assert "non-finite secrecy sample at trial index" in errors[1]
+        assert len(errors) == 1
+        assert "ERROR axis=3000.0 method=quadrature" in errors[0]
         assert "RuntimeWarning" not in both.stderr
-        assert both.stdout == alone.stdout
+        lines = both.stdout.splitlines()
+        top = [line for line in lines if line.startswith("3000")]
+        assert [line.split(",")[1] for line in top] == ["monte-carlo"]
+        assert math.isfinite(float(top[0].split(",")[3]))
+        assert [line for line in lines if not line.startswith("3000")] == (
+            alone.stdout.splitlines()
+        )
 
     def test_preset_run_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
@@ -754,6 +760,49 @@ class TestCli:
 
         assert quad_rows == rows(32)
         assert quad_rows != rows(64)
+
+    def test_preset_writes_the_same_bytes_for_any_worker_count(self, tmp_path):
+        # 140000 samples span 3 blocks, so two workers share them.
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"fig6-{workers}.csv"
+            args = ["preset", "fig6", "--out", str(out), "--samples", "140000", "--seed", "3"]
+            assert main([*args, "--workers", workers]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "command, want",
+        [(["preset", "fig6", "--samples", "10000"], len(os.sched_getaffinity(0))),
+         (["preset", "fig6", "--samples", "10000", "--workers", "2"], 2),
+         (["sweep", "{cfg}"], 1),
+         (["sweep", "{cfg}", "--workers", "2"], 2)],
+        ids=["preset-default", "preset-2", "sweep-default", "sweep-2"],
+    )
+    def test_workers_flag_reaches_monte_carlo(self, tmp_path, monkeypatch, command, want):
+        # A sweep config's monte_carlo.workers stays the default of sweep.
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text("preset: fig6\nvariant: mb-20\nvalues: [20]\n"
+                       "methods: [monte-carlo]\nmonte_carlo: {samples: 10000, seed: 1}\n")
+        seen = set()
+        real = sweep_mod.mc_asc
+
+        def spy(cfg, mc, **kwargs):
+            seen.add(mc.workers)
+            return real(cfg, mc, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "mc_asc", spy)
+        argv = [arg.format(cfg=cfg) for arg in command]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert seen == {want}
+
+    @pytest.mark.parametrize("command", [["preset", "fig6"], ["sweep", "{cfg}"]])
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text("preset: fig6\nvariant: mb-20\nvalues: [20]\n")
+        argv = [arg.format(cfg=cfg) for arg in command]
+        assert main([*argv, "--workers", "0"]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
 
     def test_import_leaves_out_mpmath_and_scipy_integrate(self):
         # Each would add import time and resident memory to every run; so
