@@ -2,15 +2,13 @@
 
 Subcommands::
 
-    plcsec sweep CONFIG [--out FILE] [--workers K]
-                                          run one sweep config, emit CSV
+    plcsec sweep CONFIG [--out FILE]      run one sweep config, emit CSV
     plcsec preset NAME [--out FILE] [--samples K] [--quad-order L] [--seed S]
-                  [--workers K]           run a named preset's sweeps
     plcsec validate CONFIG                parse + validate, print resolved form
 
-``--workers`` sets the Monte Carlo threads, which never change a result:
-``sweep`` defaults to the config's ``monte_carlo.workers``, ``preset`` to
-the number of CPUs this process may run on.
+``preset`` runs its Monte Carlo on every CPU this process may use; the
+thread count never changes a result.  ``sweep`` keeps the config's
+``monte_carlo.workers``.
 
 Exit status: 0 on success, 1 if any sweep point failed (remaining rows are
 still emitted), 2 on configuration errors.
@@ -57,7 +55,7 @@ def _report_errors(errors: list[SweepError], label: str = "") -> None:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = load_config(args.config)
     with _output(args.out) as fh:
         rows, errors = run_sweep(spec)
         fh.write(rows_to_csv(rows))
@@ -66,17 +64,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    for name in ("samples", "seed", "workers"):
-        value = getattr(args, name, None)
-        if value is not None:
-            spec = replace(spec, mc=replace(spec.mc, **{name: value}))
-    if getattr(args, "quad_order", None) is not None:
+    if args.samples is not None:
+        spec = replace(spec, mc=replace(spec.mc, samples=args.samples))
+    if args.seed is not None:
+        spec = replace(spec, mc=replace(spec.mc, seed=args.seed))
+    if args.quad_order is not None:
         spec = replace(spec, quadrature_order=args.quad_order)
     return spec
 
 
 def _cmd_preset(args) -> int:
-    specs = [_apply_overrides(s, args) for s in get_preset(args.name)]
+    workers = _usable_cpus()
+    specs = [
+        _apply_overrides(replace(s, mc=replace(s.mc, workers=workers)), args)
+        for s in get_preset(args.name)
+    ]
     chunks = []
     failed = False
     with _output(args.out) as fh:
@@ -114,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a sweep config and emit CSV")
     p_sweep.add_argument("config", type=Path, help="YAML sweep configuration")
     p_sweep.add_argument("--out", type=Path, default=None, help="write CSV here instead of stdout")
-    p_sweep.add_argument(
-        "--workers", type=int, default=None,
-        help="Monte Carlo threads (default: the config's monte_carlo.workers)",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_preset = sub.add_parser(
@@ -129,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--samples", type=int, default=None, help="Monte Carlo samples per point")
     p_preset.add_argument("--quad-order", type=int, default=None, help="Gauss-Hermite order")
     p_preset.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
-    p_preset.add_argument(
-        "--workers", type=int, default=_usable_cpus(),
-        help="Monte Carlo threads (default: the usable CPU count)",
-    )
     p_preset.set_defaults(func=_cmd_preset)
 
     p_val = sub.add_parser("validate", help="validate a config and print the resolved form")

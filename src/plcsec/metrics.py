@@ -81,9 +81,11 @@ LN2 = math.log(2.0)
 
 
 def check_transmit_power(power: float) -> None:
-    """Raise :class:`ConfigError` unless ``power`` is finite and > 0."""
-    if not (math.isfinite(power) and power > 0.0):
-        raise ConfigError("transmit_power must be finite and > 0")
+    """Raise :class:`ConfigError` unless ``power`` and ``1/power`` are finite
+    and > 0, as the noise SNR factors must be: the Monte Carlo sample
+    divides by ``x_e + 1/power``, so a power below ~5.6e-309 would score 0."""
+    if not (math.isfinite(power) and power > 0.0 and math.isfinite(1.0 / power)):
+        raise ConfigError("transmit_power must be finite and > 0, with a finite reciprocal")
 
 
 @dataclass(frozen=True)

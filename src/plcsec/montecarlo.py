@@ -7,7 +7,7 @@ scheduled (strongest) destination's branch gain, the eavesdropper branch
 gain and one Bernoulli noise state per node class, and scores the realized
 clamped rate difference (or intercept indicator).  The clamped rate
 difference is one ``log1p`` per trial and power, ``log1p(d / (x_e + 1/P))``
-over the power-free gain gap ``d`` (see :func:`_secrecy_samples`), and each
+over the power-free gain gap ``d`` (see :func:`_secrecy_sample`), and each
 step of a block writes into an array the block owns.  The strongest of N
 i.i.d. branches is drawn directly from the elementary CDF of a maximum,
 ``Phi^N``, by inversion of one uniform, so a trial costs the same at any N;
@@ -40,7 +40,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,11 +174,11 @@ def mc_asc(
     With ``powers``, a sequence of linear transmit powers, each block draws
     its trials, forms ``x_e`` and ``d`` once and scores them at every power
     in turn (common random numbers): per power one buffer takes
-    ``x_e + 1/P``, the division, the ``log1p`` and the two sums.  A list
-    with one entry per power is returned: entry ``k``
-    is bit for bit the result of ``mc_asc(replace(cfg,
-    transmit_power=powers[k]), mc)``, or the :class:`EvaluationError` that
-    call raises.  ``cfg.transmit_power`` is then not used.
+    ``x_e + 1/P`` and another the division, the ``log1p`` and the two sums.
+    A list with one entry per power is returned: entry ``k`` is bit for bit
+    the result of ``mc_asc(replace(cfg, transmit_power=powers[k]), mc)``, or
+    the :class:`EvaluationError` that call raises.  ``cfg.transmit_power``
+    is then not used.
 
     With ``destinations``, a sequence of destination counts, a list with
     one entry per count is returned in the same way: entry ``k`` is bit for
@@ -216,20 +216,20 @@ def mc_asc(
                 ln_shared *= src.s
                 ln_shared += src.m
             x_e = _power_free_gain(z_e, eav, ln_shared, at_e)
-            # Not read again: dropped, they leave room for the per-count draws.
-            del z_a, at_e
+            # Not read again: z_a is dropped to leave room for the per-count
+            # draws, and at_e's buffer takes the samples.
+            del z_a
+            cs = at_e
             # One power serves every count with one denominator; a power
-            # axis (one count) forms it power by power into one buffer.
-            one_power = len(axis) == 1
-            den = np.add(x_e, 1.0 / axis[0]) if one_power else np.empty(m)
+            # axis (one count) re-forms it in place power by power.
+            den = np.add(x_e, 1.0 / axis[0])
             scores = []
             for z_best in z_bests:
-                x_b = _power_free_gain(z_best, dest, ln_shared, at_b)
-                if one_power:
-                    dens, out = (den,), x_b
-                else:
-                    dens, out = (np.add(x_e, 1.0 / power, out=den) for power in axis), den
-                scores.extend(map(_score, _secrecy_samples(x_b, x_e, dens, out)))
+                d = _gain_gap(_power_free_gain(z_best, dest, ln_shared, at_b), x_e)
+                for k, power in enumerate(axis):
+                    if k:
+                        np.add(x_e, 1.0 / power, out=den)
+                    scores.append(_score(_secrecy_sample(d, den, cs)))
             return scores
 
     partials = _run_blocks(mc, run_one)
@@ -252,25 +252,24 @@ def _power_free_gain(z: np.ndarray, link, ln_shared: np.ndarray | None, at: np.n
     return z
 
 
-def _secrecy_samples(
-    x_b: np.ndarray, x_e: np.ndarray, dens: Iterable[np.ndarray], out: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Per denominator ``x_e + 1/P`` of ``dens``, one secrecy sample per
-    trial in nats, written to ``out``.
+def _gain_gap(x_b: np.ndarray, x_e: np.ndarray) -> np.ndarray:
+    """``d = max(x_b - x_e, 0)``, the power-free gain gap, written over ``x_b``."""
+    d = np.subtract(x_b, x_e, out=x_b)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _secrecy_sample(d: np.ndarray, den: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One secrecy sample per trial in nats, ``log1p(d / den)``, written to
+    ``out``, from the gain gap ``d`` and the denominator ``den = x_e + 1/P``.
 
     ``max(log1p(P x_b) - log1p(P x_e), 0)`` is ``log1p(d / (x_e + 1/P))``
     with ``d = max(x_b - x_e, 0)``: one ``log1p`` per trial and power.  It
     stays finite where ``P x`` overflows, and unlike the difference of two
-    ``log1p`` it does not cancel where the two rates nearly agree.  ``d`` is
-    formed once, over ``x_b``; ``d = 0`` scores exactly 0.  ``out`` may be
-    ``x_b`` when there is one denominator, or the buffer each denominator
-    is formed in.
+    ``log1p`` it does not cancel where the two rates nearly agree; ``d = 0``
+    scores exactly 0.
     """
-    d = np.subtract(x_b, x_e, out=x_b)
-    np.maximum(d, 0.0, out=d)
-    for den in dens:
-        np.divide(d, den, out=out)
-        yield np.log1p(out, out=out)
+    np.divide(d, den, out=out)
+    return np.log1p(out, out=out)
 
 
 def _score(cs: np.ndarray) -> tuple | EvaluationError:

@@ -203,6 +203,19 @@ class TestMcAsc:
         with pytest.raises(ConfigError, match="transmit_power"):
             mc_asc(make_config(), McConfig(samples=10_000, seed=1), powers=(1.0, 0.0))
 
+    def test_rejects_a_power_whose_reciprocal_overflows(self):
+        # Below ~5.6e-309, 1/P overflows and x_e + 1/P would score every
+        # trial 0; the smallest powers with a finite reciprocal still score.
+        cfg, mc = make_config(), McConfig(samples=10_000, seed=1)
+        with pytest.raises(ConfigError, match="finite reciprocal"):
+            mc_asc(cfg, mc, powers=(1.0, 1e-310))
+        with pytest.raises(ConfigError, match="finite reciprocal"):
+            replace(cfg, transmit_power=1e-310)
+        low = mc_asc(replace(cfg, transmit_power=6e-309), mc)
+        quad = asc_quadrature(replace(cfg, transmit_power=6e-309))
+        # The half-width underflows to 0 here: the check is relative.
+        assert low.value == pytest.approx(quad.value, rel=0.05)
+
     def test_different_seeds_differ(self):
         cfg = make_config(n=2)
         a = mc_asc(cfg, McConfig(samples=100_000, seed=1))
@@ -218,8 +231,8 @@ class TestMcAsc:
 
 def secrecy_sample(x_b, x_e, power):
     """The sampler's secrecy samples, in nats, at per-trial powers."""
-    (cs,) = mc_mod._secrecy_samples(x_b.copy(), x_e, [x_e + 1.0 / power], np.empty_like(x_b))
-    return cs
+    d = mc_mod._gain_gap(x_b.copy(), x_e)
+    return mc_mod._secrecy_sample(d, x_e + 1.0 / power, np.empty_like(x_b))
 
 
 def exact_secrecy_sample(x_b, x_e, power):

@@ -699,17 +699,19 @@ class TestCli:
         assert "4000" in captured.err and "ERROR" in captured.err
 
     def test_monte_carlo_error_stays_at_its_point(self, tmp_path):
-        # At 3000 dB the quadrature rates overflow: quadrature fails there
-        # alone, MC gives a finite row, and the 20 dB MC row is the one a
-        # sweep of 20 dB alone gives.
+        # At 3000 dB the rates overflow: quadrature and MC fail there alone,
+        # and the 20 dB MC row is the one a sweep of 20 dB alone gives.  With
+        # the eavesdropper's gain near e^-300 below 1/P, the MC sample
+        # log1p(d / (x_e + 1/P)) overflows too.
         def sweep(values):
             cfg = tmp_path / "huge.yaml"
             cfg.write_text(
                 f"preset: fig3\nvariant: n10-ph\nvalues: {values}\n"
                 "methods: [quadrature, monte-carlo]\n"
                 "monte_carlo: {samples: 10000, seed: 1}\n"
-                "system:\n  destination: {mean_db: 100.0}\n"
-                "  eavesdropper: {mean_db: 100.0}\n"
+                "system:\n  pinhole: false\n  n_destinations: 3\n"
+                "  destination: {mean_db: 1954.0}\n"
+                "  eavesdropper: {mean_db: -1303.0}\n"
             )
             src = str(Path(plcsec.__file__).parents[1])
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -722,16 +724,11 @@ class TestCli:
         both, alone = sweep("[20, 3000]"), sweep("[20]")
         assert both.returncode == 1 and alone.returncode == 0, both.stderr
         errors = both.stderr.splitlines()
-        assert len(errors) == 1
-        assert "ERROR axis=3000.0 method=quadrature" in errors[0]
+        assert len(errors) == 2
+        assert all("ERROR axis=3000.0" in line for line in errors)
+        assert "non-finite secrecy sample at trial index" in errors[1]
         assert "RuntimeWarning" not in both.stderr
-        lines = both.stdout.splitlines()
-        top = [line for line in lines if line.startswith("3000")]
-        assert [line.split(",")[1] for line in top] == ["monte-carlo"]
-        assert math.isfinite(float(top[0].split(",")[3]))
-        assert [line for line in lines if not line.startswith("3000")] == (
-            alone.stdout.splitlines()
-        )
+        assert both.stdout == alone.stdout
 
     def test_preset_run_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
@@ -761,29 +758,18 @@ class TestCli:
         assert quad_rows == rows(32)
         assert quad_rows != rows(64)
 
-    def test_preset_writes_the_same_bytes_for_any_worker_count(self, tmp_path):
+    def test_worker_count_leaves_the_csv_bytes_alone(self):
         # 140000 samples span 3 blocks, so two workers share them.
-        texts = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"fig6-{workers}.csv"
-            args = ["preset", "fig6", "--out", str(out), "--samples", "140000", "--seed", "3"]
-            assert main([*args, "--workers", workers]) == 0
-            texts.append(out.read_bytes())
-        assert texts[0] == texts[1]
+        def text(spec, workers):
+            mc = replace(spec.mc, samples=140_000, seed=3, workers=workers)
+            rows, errors = run_sweep(replace(spec, mc=mc))
+            assert errors == []
+            return rows_to_csv(rows).encode()
 
-    @pytest.mark.parametrize(
-        "command, want",
-        [(["preset", "fig6", "--samples", "10000"], len(os.sched_getaffinity(0))),
-         (["preset", "fig6", "--samples", "10000", "--workers", "2"], 2),
-         (["sweep", "{cfg}"], 1),
-         (["sweep", "{cfg}", "--workers", "2"], 2)],
-        ids=["preset-default", "preset-2", "sweep-default", "sweep-2"],
-    )
-    def test_workers_flag_reaches_monte_carlo(self, tmp_path, monkeypatch, command, want):
-        # A sweep config's monte_carlo.workers stays the default of sweep.
-        cfg = tmp_path / "mc.yaml"
-        cfg.write_text("preset: fig6\nvariant: mb-20\nvalues: [20]\n"
-                       "methods: [monte-carlo]\nmonte_carlo: {samples: 10000, seed: 1}\n")
+        for spec in get_preset("fig6"):
+            assert text(spec, 1) == text(spec, 2)
+
+    def test_preset_runs_monte_carlo_on_the_usable_cpus(self, tmp_path, monkeypatch):
         seen = set()
         real = sweep_mod.mc_asc
 
@@ -792,17 +778,9 @@ class TestCli:
             return real(cfg, mc, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "mc_asc", spy)
-        argv = [arg.format(cfg=cfg) for arg in command]
-        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-        assert seen == {want}
-
-    @pytest.mark.parametrize("command", [["preset", "fig6"], ["sweep", "{cfg}"]])
-    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, command):
-        cfg = tmp_path / "mc.yaml"
-        cfg.write_text("preset: fig6\nvariant: mb-20\nvalues: [20]\n")
-        argv = [arg.format(cfg=cfg) for arg in command]
-        assert main([*argv, "--workers", "0"]) == 2
-        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        args = ["preset", "fig6", "--samples", "10000", "--out", str(tmp_path / "out.csv")]
+        assert main(args) == 0
+        assert seen == {len(os.sched_getaffinity(0))}
 
     def test_import_leaves_out_mpmath_and_scipy_integrate(self):
         # Each would add import time and resident memory to every run; so
