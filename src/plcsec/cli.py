@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .config import dump_config, load_config
@@ -105,7 +106,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``plcsec`` parser, built once per process: each ``parse_args``
+    call starts from a fresh namespace, so no argument carries over."""
     parser = argparse.ArgumentParser(
         prog="plcsec",
         description="Secrecy metrics of a pinhole power-line network "

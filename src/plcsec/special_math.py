@@ -17,7 +17,9 @@ Four building blocks live here:
 * ``fit_expectation`` -- ``E[(c0 + c1 T) Phi(T)^m]`` over a Gaussian T
   through the exponential Q-fit ``DEFAULT_Q_APPROX``, with an error
   estimate, per entry of an array of m: one segment integral below 0 and
-  ``fit_tail_integral``, a composite Gauss-Legendre rule, above it.  Every
+  ``fit_tail_integral``, a composite Gauss-Legendre rule, above it.  The
+  rule takes the m in blocks, each through the slabs of one work array
+  allocated once per call, with the bits of a call on each m alone.  Every
   closed form in :mod:`plcsec.metrics` is built from it.
 """
 
@@ -332,6 +334,10 @@ _GL_FINE = slice(0, 16)
 _GL_COARSE = slice(16, None)
 _EPS = np.finfo(float).eps
 _K1, _K2, _K3 = DEFAULT_Q_APPROX
+# Elements of each of the two slabs of the tail rule's work array (256 KiB).
+# A block of powers shares every numpy call: 8 powers on the widest window
+# (156 panels of 24 nodes).
+_TAIL_BLOCK = 1 << 15
 
 
 def fit_tail_integral(
@@ -344,8 +350,11 @@ def fit_tail_integral(
     sums term by term; integrating the power directly, as
     ``exp(m log1p(-Qfit))``, avoids their cancellation.  The nodes,
     ``log1p(-Qfit)`` and ``c0 + c1 T`` do not depend on ``m`` and are built
-    once; each ``m`` takes one ``exp`` and the sums over the same (panels x
-    nodes) array a single ``m`` would.  Returns the values and the error
+    once.  The powers then go in blocks of ``_TAIL_BLOCK // nodes``, each
+    through one (powers x panels x nodes) slab for the exponent and one for
+    the weighted integrand.  Both slabs belong to one work array allocated
+    once per call, and every step writes into them, so each ``m`` gets the
+    bits a call with ``m`` alone would.  Returns the values and the error
     estimates, one entry per ``m``: the gap to the coarse rule plus a
     rounding allowance that grows with the magnitude of each node's
     exponent.
@@ -365,14 +374,27 @@ def fit_tail_integral(
     half_z2 = 0.5 * z * z
     linear = c0 + c1 * t
     gl = _GL_WEIGHTS * half / SQRT_2PI
-    for k, m in enumerate(ms):
-        exponent = m * log_fit - half_z2
-        wf = linear * np.exp(exponent) * gl
-        fine = float(wf[:, _GL_FINE].sum())
-        coarse = float(wf[:, _GL_COARSE].sum())
-        rounding = _EPS * float(np.sum(np.abs(wf * (16.0 + np.abs(exponent)))[:, _GL_FINE]))
-        values[k] = fine
-        errors[k] = abs(fine - coarse) + rounding
+    powers = np.asarray(ms, dtype=float)[:, None, None]
+    block = max(1, min(len(ms), _TAIL_BLOCK // z.size))
+    work = np.empty((2, block) + z.shape)
+    for start in range(0, len(ms), block):
+        m = powers[start : start + block]
+        exponent, wf = work[:, : len(m)]
+        np.multiply(m, log_fit, out=exponent)
+        np.subtract(exponent, half_z2, out=exponent)
+        np.exp(exponent, out=wf)
+        np.multiply(linear, wf, out=wf)
+        np.multiply(wf, gl, out=wf)
+        fine = wf[:, :, _GL_FINE].sum(axis=(1, 2))
+        coarse = wf[:, :, _GL_COARSE].sum(axis=(1, 2))
+        # wf * (16 + |exponent|), overwriting the exponent.
+        np.abs(exponent, out=exponent)
+        np.add(16.0, exponent, out=exponent)
+        np.multiply(wf, exponent, out=exponent)
+        np.abs(exponent, out=exponent)
+        rounding = _EPS * exponent[:, :, _GL_FINE].sum(axis=(1, 2))
+        values[start : start + len(m)] = fine
+        errors[start : start + len(m)] = np.abs(fine - coarse) + rounding
     return values, errors
 
 

@@ -888,14 +888,20 @@ class TestDestinationAxis:
             asc_quadrature(make_config(), powers=(1.0, 2.0), destinations=(1, 2))
 
     def test_peak_memory_stays_small(self):
-        # One count's rates at a time: no (counts x pairs) array.
+        # One count's rates at a time: no (counts x pairs) array.  The closed
+        # forms take their counts in blocks of one work array: no (counts x
+        # nodes) array, which would take tens of MiB over 1000 counts.
         cfg = make_config(order=160)
         ns = tuple(range(1, 65))
+        many = tuple(range(1, 1001))
         tracemalloc.start()
         try:
             asc_quadrature(cfg, destinations=ns)
             poi_quadrature(cfg, destinations=ns)
             poi_closed_form(cfg, destinations=ns)
+            poi_closed_form(cfg, destinations=many)
+            asc_asymptotic(cfg, destinations=many)
+            asc_asymptotic_large_n(cfg, destinations=many)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -23,7 +23,9 @@ from plcsec import (
     gaussian_segment_integrals,
 )
 from plcsec.special_math import (
+    _TAIL_BLOCK,
     fit_expectation,
+    fit_tail_integral,
     normal_cdf,
     normal_log_cdf,
     normal_quantile,
@@ -375,6 +377,18 @@ class TestGaussianSegmentIntegrals:
 
 
 class TestFitExpectation:
+    # Shuffled, with repeats, over {0, 1, 2, 24, 25, 1000, 10^5}.
+    SHUFFLED = [25, 0, 1000, 2, 100_000, 1, 25, 24, 0, 1000]
+
+    @staticmethod
+    def assert_axis_matches_single_m_calls(fit, lam, sigma, ms, c0, c1):
+        values, errors = fit(lam, sigma, ms, c0, c1)
+        singles = [fit(lam, sigma, [m], c0, c1) for m in ms]
+        assert values.tolist() == [float(v[0]) for v, _ in singles]
+        assert errors.tolist() == [float(e[0]) for _, e in singles]
+
+    @pytest.mark.parametrize("fit", [fit_expectation, fit_tail_integral])
+    @pytest.mark.parametrize("ms", [[0, 1, 40, 1000], SHUFFLED])
     @pytest.mark.parametrize(
         "lam, sigma, c0, c1",
         [
@@ -384,9 +398,15 @@ class TestFitExpectation:
             (-20.0, 0.5, 1.0, 1.0),
         ],
     )
-    def test_axis_matches_single_m_calls(self, lam, sigma, c0, c1):
-        ms = [0, 1, 40, 1000]
-        values, errors = fit_expectation(lam, sigma, ms, c0, c1)
-        singles = [fit_expectation(lam, sigma, [m], c0, c1) for m in ms]
-        assert values.tolist() == [float(v[0]) for v, _ in singles]
-        assert errors.tolist() == [float(e[0]) for _, e in singles]
+    def test_axis_matches_single_m_calls(self, fit, ms, lam, sigma, c0, c1):
+        self.assert_axis_matches_single_m_calls(fit, lam, sigma, ms, c0, c1)
+
+    @pytest.mark.parametrize("fit", [fit_expectation, fit_tail_integral])
+    @pytest.mark.parametrize("lam, sigma, c0, c1", [(45.0, 1.0, -1.2, 0.8), (80.0, 2.0, 1.0, 0.0)])
+    def test_axis_spanning_two_work_blocks(self, fit, lam, sigma, c0, c1):
+        # lam / sigma >= 39 opens the widest window, 156 panels of 24 nodes;
+        # the second block of powers is a partial one.
+        block = _TAIL_BLOCK // (156 * 24)
+        ms = (self.SHUFFLED * 2)[: block + 3]
+        assert block < len(ms) < 2 * block
+        self.assert_axis_matches_single_m_calls(fit, lam, sigma, ms, c0, c1)

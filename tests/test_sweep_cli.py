@@ -600,6 +600,18 @@ class TestCli:
         assert main(["sweep", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_the_reused_parser_carries_no_argument_over(self, tmp_path, capsys):
+        # One parser serves every call in a process: the second call, without
+        # --out, must write to stdout, not to the first call's file.
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "a.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        first = out.read_text()
+        assert main(["sweep", str(cfg)]) == 0
+        assert capsys.readouterr().out == first
+        assert out.read_text() == first
+
     def test_validate_prints_resolved_config(self, tmp_path, capsys):
         code = main(["validate", str(self._write_config(tmp_path))])
         out = capsys.readouterr().out
