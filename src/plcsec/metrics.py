@@ -29,13 +29,14 @@ provided for its average:
 
 Every closed-form term is one expectation ``E[(c0 + c1 T) Phi(T)^m]`` over
 a Gaussian T, taken through the exponential Q-fit by
-:func:`plcsec.special_math.fit_expectation` for every count of a call at
-once.  Below 0 it is a half-axis Gaussian segment integral.  Above 0,
-expanding ``(1 - Qfit)^m`` binomially would give alternating sums whose
-terms grow like exp(0.55 N) while the sum stays bounded; the power is
-integrated instead by a fixed composite Gauss-Legendre rule in double
-precision.  Cost and accuracy do not depend on N, and that integral's error
-estimate is reported as ``integration_error``.
+:func:`plcsec.special_math.fit_expectation` for every count of a call, and
+every noise event of a term, at once.  Below 0 it is a half-axis Gaussian
+segment integral.  Above 0, expanding ``(1 - Qfit)^m`` binomially would give
+alternating sums whose terms grow like exp(0.55 N) while the sum stays
+bounded; the power is integrated instead by a composite Gauss-Legendre rule
+in double precision, windowed to where the integrand lives.  Cost and
+accuracy do not depend on N, and that integral's error estimate, which
+covers what the window drops, is reported as ``integration_error``.
 
 Every route takes ``destinations=``, a sequence of destination counts, and
 returns one entry per count, each bit for bit the call on a configuration
@@ -442,11 +443,14 @@ def _asymptotic_value(
     errors = counts * error
 
     if keep_vanishing_terms:
-        # The eavesdropper's clamp: its log rate where it beats every destination.
-        for ev in events:
-            lam = _event_offset(ev, dest, eav)
-            c0_e = math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e
-            value, error = fit_expectation(lam, phi_e, ns, c0_e, eav.s / phi_e)
+        # The eavesdropper's clamp: its log rate where it beats every
+        # destination, one row per noise event.
+        lams = [_event_offset(ev, dest, eav) for ev in events]
+        c0s = [
+            math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e for ev, lam in zip(events, lams)
+        ]
+        values, errs = fit_expectation(lams, phi_e, ns, c0s, eav.s / phi_e)
+        for ev, value, error in zip(events, values, errs):
             totals -= ev.probability * value
             errors += ev.probability * error
 
@@ -499,18 +503,20 @@ def poi_closed_form(
     """Intercept probability through the Q-fit.
 
     Same contest factor ``E[Phi(phi_e t + lam)^N]`` as
-    :func:`poi_quadrature`, taken by :func:`fit_expectation` per noise
-    event.  Transmit power never enters.  ``destinations`` works as in
-    :func:`asc_asymptotic`.
+    :func:`poi_quadrature`, taken by one :func:`fit_expectation` call with
+    one row per noise event.  Transmit power never enters.
+    ``destinations`` works as in :func:`asc_asymptotic`.
     """
     _, ns = route_axes(cfg, destinations=destinations)
     dest, eav = effective_links(cfg.topology)
     phi_e = eav.s / dest.s
 
+    events = noise_events(cfg.dest_noise, cfg.eav_noise)
+    lams = [_event_offset(ev, dest, eav) for ev in events]
+    values, errs = fit_expectation(lams, phi_e, ns, 1.0, 0.0)
     totals = np.zeros(len(ns))
     errors = np.zeros(len(ns))
-    for ev in noise_events(cfg.dest_noise, cfg.eav_noise):
-        value, error = fit_expectation(_event_offset(ev, dest, eav), phi_e, ns, 1.0, 0.0)
+    for ev, value, error in zip(events, values, errs):
         totals += ev.probability * value
         errors += ev.probability * error
 

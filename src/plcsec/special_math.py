@@ -16,11 +16,15 @@ Four building blocks live here:
   ``(a, b)``.
 * ``fit_expectation`` -- ``E[(c0 + c1 T) Phi(T)^m]`` over a Gaussian T
   through the exponential Q-fit ``DEFAULT_Q_APPROX``, with an error
-  estimate, per entry of an array of m: one segment integral below 0 and
+  estimate, per entry of an array of m and per row of the mean and ``c0``
+  (one row per noise event): one segment integral below 0 and
   ``fit_tail_integral``, a composite Gauss-Legendre rule, above it.  The
-  rule takes the m in blocks, each through the slabs of one work array
-  allocated once per call, with the bits of a call on each m alone.  Every
-  closed form in :mod:`plcsec.metrics` is built from it.
+  rule is windowed: each (row, m) pair keeps the panels that start below
+  10 standard units past the peak of its integrand, and its error estimate
+  bounds what the window drops.  The pairs of all rows go in blocks through
+  the slabs of one work array allocated once per call, with the bits of a
+  call on each row and m alone.  Every closed form in
+  :mod:`plcsec.metrics` is built from it.
 """
 
 from __future__ import annotations
@@ -334,92 +338,161 @@ _GL_FINE = slice(0, 16)
 _GL_COARSE = slice(16, None)
 _EPS = np.finfo(float).eps
 _K1, _K2, _K3 = DEFAULT_Q_APPROX
-# Elements of each of the two slabs of the tail rule's work array (256 KiB).
-# A block of powers shares every numpy call: 8 powers on the widest window
-# (156 panels of 24 nodes).
-_TAIL_BLOCK = 1 << 15
+# Each power keeps the panels that start below _WINDOW_MARGIN standard units
+# past the larger of 0 and the step of its power, where the integrand is
+# below exp(-50) of its peak, in whole steps of _WINDOW_STEP panels, so that
+# the powers of an axis share a few windows.
+_WINDOW_MARGIN = 10.0
+_WINDOW_STEP = 16
+# Elements of each of the two slabs of the tail rule's work array (128 KiB).
+# A block of (row, power) pairs with one window shares every numpy call: up
+# to 21 pairs on the usual 32-panel window, 4 on the widest (156 panels of
+# 24 nodes).  Twice the size took about 1% less time on perfbench's n-sweep
+# but raised its peak resident memory by about 0.3 MiB.
+_TAIL_BLOCK = 1 << 14
+
+
+def _tail_window(lam: np.ndarray, sigma: float, powers: np.ndarray):
+    """The tail rule's grid per row of ``lam`` and its window per (row, power).
+
+    Row ``r``'s panels start at ``lo = max(-lam / sigma, -_Z_MAX)`` and have
+    half-width ``half``; every row must have ``lo < _Z_MAX``.  Power ``m``
+    keeps the panels that start below ``min(_Z_MAX, max(lo, z_m, 0) +
+    _WINDOW_MARGIN)``, where ``z_m`` is the ``t`` that solves ``m Qfit(t) =
+    1`` (0 where ``log m <= k3``), in standard units; the count is rounded
+    up to whole ``_WINDOW_STEP`` panels and capped at the full grid.
+    Returns ``lo``, ``half`` and the (rows x powers) panel counts, kept as
+    floats: comparing them as integers would page in 128 KiB of numpy code
+    that nothing else in the program runs.
+    """
+    lo = np.maximum(-lam / sigma, -_Z_MAX)
+    panels = np.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
+    half = 0.5 * (_Z_MAX - lo) / panels
+    # k1 t^2 + k2 t - d = 0 with d = log m - k3, in the form that gives 0 at d = 0.
+    d = np.maximum(np.log(np.maximum(powers, 1.0)) - _K3, 0.0)
+    t_step = 2.0 * d / (_K2 + np.sqrt(_K2 * _K2 + 4.0 * _K1 * d))
+    peak = np.maximum(np.maximum(lo[:, None], (t_step - lam[:, None]) / sigma), 0.0)
+    cut = np.minimum(_Z_MAX, peak + _WINDOW_MARGIN)
+    steps = np.ceil((cut - lo[:, None]) / (2.0 * _WINDOW_STEP * half[:, None]))
+    return lo, half, np.minimum(panels[:, None], _WINDOW_STEP * steps)
 
 
 def fit_tail_integral(
-    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+    lam, sigma: float, ms: Sequence[int], c0, c1: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``E[(c0 + c1 T) (1 - Qfit(T))^m ; T > 0]`` for ``T ~ N(lam, sigma^2)``,
-    per power ``m`` of ``ms``.
+    per power ``m`` of ``ms`` and per row of ``lam`` and ``c0``.
+
+    ``lam`` and ``c0`` broadcast together, one entry per row (a noise
+    event, say); the values and the error estimates come back with their
+    shape plus one last axis over ``ms``, so scalars give one entry per
+    ``m``.  Row ``r`` is bit for bit the call on ``lam[r]`` and ``c0[r]``
+    alone, and each ``m`` the call on ``[m]`` alone.
 
     Expanding ``(1 - Qfit)^m`` binomially gives the closed forms' alternating
     sums term by term; integrating the power directly, as
-    ``exp(m log1p(-Qfit))``, avoids their cancellation.  The nodes,
-    ``log1p(-Qfit)`` and ``c0 + c1 T`` do not depend on ``m`` and are built
-    once.  The powers then go in blocks of ``_TAIL_BLOCK // nodes``, each
-    through one (powers x panels x nodes) slab for the exponent and one for
-    the weighted integrand.  Both slabs belong to one work array allocated
-    once per call, and every step writes into them, so each ``m`` gets the
-    bits a call with ``m`` alone would.  Returns the values and the error
-    estimates, one entry per ``m``: the gap to the coarse rule plus a
-    rounding allowance that grows with the magnitude of each node's
-    exponent.
+    ``exp(m log1p(-Qfit))``, avoids their cancellation.  The rule is windowed
+    (:func:`_tail_window`): each (row, ``m``) pair keeps the panels of its
+    row's grid where its integrand lives.  The nodes, ``log1p(-Qfit)`` and
+    ``c0 + c1 T`` do not depend on ``m`` and are built once per row.  The
+    pairs of one window then go in blocks of at most ``_TAIL_BLOCK``
+    elements, whatever their rows, each through one (pairs x panels x
+    nodes) slab for the exponent and one for the weighted integrand of one
+    work array allocated once per call.  The error estimate is the gap to
+    the coarse rule, plus a rounding allowance that grows with the magnitude
+    of each node's exponent, plus a bound on what the window drops past its
+    end ``Z``: ``(|c0 + c1 lam| / Z + |c1| sigma) phi(Z)``, which is 0 where
+    the window reaches ``_Z_MAX``.  A row with ``lam / sigma <= -_Z_MAX``
+    has no weight above 0 that double precision can hold, and gives zeros.
     """
-    values = np.zeros(len(ms))
-    errors = np.zeros(len(ms))
-    lo = max(-lam / sigma, -_Z_MAX)
-    if lo >= _Z_MAX:
+    lam, c0 = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(c0, dtype=float))
+    powers = np.asarray(ms, dtype=float)
+    values = np.zeros(lam.shape + powers.shape)
+    errors = np.zeros(lam.shape + powers.shape)
+    live = np.flatnonzero(-lam.ravel() / sigma < _Z_MAX)
+    if not live.size or not powers.size:
         return values, errors
-    panels = math.ceil((_Z_MAX - lo) / _PANEL_WIDTH)
-    half = 0.5 * (_Z_MAX - lo) / panels
-    mids = lo + half * (2.0 * np.arange(panels) + 1.0)
-    z = mids[:, None] + half * _GL_NODES
-    t = lam + sigma * z
-    q = np.exp(-(_K1 * t * t + _K2 * t + _K3))
-    log_fit = np.log1p(-q)
+    lam = lam.ravel()[live]
+    c0 = c0.ravel()[live]
+    lo, half, keep = _tail_window(lam, sigma, powers)
+    mids = lo[:, None] + half[:, None] * (2.0 * np.arange(keep.max()) + 1.0)
+    z = mids[:, :, None] + half[:, None, None] * _GL_NODES
+    t = lam[:, None, None] + sigma * z
+    log_fit = np.log1p(-np.exp(-(_K1 * t * t + _K2 * t + _K3)))
     half_z2 = 0.5 * z * z
-    linear = c0 + c1 * t
-    gl = _GL_WEIGHTS * half / SQRT_2PI
-    powers = np.asarray(ms, dtype=float)[:, None, None]
-    block = max(1, min(len(ms), _TAIL_BLOCK // z.size))
-    work = np.empty((2, block) + z.shape)
-    for start in range(0, len(ms), block):
-        m = powers[start : start + block]
-        exponent, wf = work[:, : len(m)]
-        np.multiply(m, log_fit, out=exponent)
-        np.subtract(exponent, half_z2, out=exponent)
-        np.exp(exponent, out=wf)
-        np.multiply(linear, wf, out=wf)
-        np.multiply(wf, gl, out=wf)
-        fine = wf[:, :, _GL_FINE].sum(axis=(1, 2))
-        coarse = wf[:, :, _GL_COARSE].sum(axis=(1, 2))
-        # wf * (16 + |exponent|), overwriting the exponent.
-        np.abs(exponent, out=exponent)
-        np.add(16.0, exponent, out=exponent)
-        np.multiply(wf, exponent, out=exponent)
-        np.abs(exponent, out=exponent)
-        rounding = _EPS * exponent[:, :, _GL_FINE].sum(axis=(1, 2))
-        values[start : start + len(m)] = fine
-        errors[start : start + len(m)] = np.abs(fine - coarse) + rounding
+    linear = c0[:, None, None] + c1 * t
+    gl = _GL_WEIGHTS * half[:, None, None] / SQRT_2PI
+    del mids, z, t  # the blocks below need only the four arrays above
+    # The (row, power) pairs of each window, each row's pairs one run.  They
+    # go in as few blocks of at most _TAIL_BLOCK elements as they fit, of
+    # even size.
+    windows = []
+    for width in sorted(set(keep.ravel().tolist())):
+        rows, cols = np.nonzero(keep == width)
+        width = int(width)
+        size = width * _GL_NODES.size
+        block = math.ceil(rows.size / math.ceil(rows.size / (_TAIL_BLOCK // size)))
+        windows.append((width, size, block, rows, cols))
+    work = np.empty((2, max(size * block for _, size, block, _, _ in windows)))
+    fine = np.empty(keep.shape)
+    coarse = np.empty(keep.shape)
+    rounding = np.empty(keep.shape)
+    for width, size, block, rows, cols in windows:
+        for start in range(0, rows.size, block):
+            r = rows[start : start + block]
+            c = cols[start : start + block]
+            exponent, wf = work[:, : r.size * size].reshape(2, r.size, width, -1)
+            splits = (np.flatnonzero(np.diff(r)) + 1).tolist()
+            runs = [(s, e, int(r[s])) for s, e in zip([0, *splits], [*splits, r.size])]
+            for s, e, i in runs:
+                np.multiply(powers[c[s:e], None, None], log_fit[i, :width], out=exponent[s:e])
+                np.subtract(exponent[s:e], half_z2[i, :width], out=exponent[s:e])
+            np.exp(exponent, out=wf)
+            for s, e, i in runs:
+                np.multiply(linear[i, :width], wf[s:e], out=wf[s:e])
+                np.multiply(wf[s:e], gl[i], out=wf[s:e])
+            fine[r, c] = wf[:, :, _GL_FINE].sum(axis=(1, 2))
+            coarse[r, c] = wf[:, :, _GL_COARSE].sum(axis=(1, 2))
+            # |wf (16 + |exponent|)|, overwriting the exponent, which is
+            # never positive.
+            np.subtract(16.0, exponent, out=exponent)
+            np.multiply(wf, exponent, out=exponent)
+            np.abs(exponent, out=exponent)
+            rounding[r, c] = _EPS * exponent[:, :, _GL_FINE].sum(axis=(1, 2))
+    # Past the window's end Z >= _WINDOW_MARGIN, |c0 + c1 T| <= |c0 + c1 lam|
+    # + |c1| sigma z, and Q(Z) <= phi(Z) / Z (Mills' ratio).
+    end = lo[:, None] + 2.0 * half[:, None] * keep
+    dropped = np.exp(-0.5 * end * end) / SQRT_2PI
+    dropped *= np.abs(c0 + c1 * lam)[:, None] / end + abs(c1) * sigma
+    values.reshape(-1, powers.size)[live] = fine
+    errors.reshape(-1, powers.size)[live] = np.abs(fine - coarse) + rounding + dropped
     return values, errors
 
 
 def fit_expectation(
-    lam: float, sigma: float, ms: Sequence[int], c0: float, c1: float
+    lam, sigma: float, ms: Sequence[int], c0, c1: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``E[(c0 + c1 T) Phi(T)^m]`` for ``T ~ N(lam, sigma^2)``, through the
-    Q-fit, per power ``m`` of ``ms``: the values and the error estimates.
+    Q-fit, per power ``m`` of ``ms`` and per row of ``lam`` and ``c0``: the
+    values and the error estimates, shaped as :func:`fit_tail_integral`'s.
 
     Below 0, ``Phi(T) = Q(-T)``: the fitted power times the normal density
     completes the square into ``d exp(-(a t - b)^2 / 2) / sigma``, one
-    Gaussian segment integral per ``m``, all taken in one call.  Above 0,
-    ``Phi = 1 - Q`` gives :func:`fit_tail_integral`.  The error estimate is
-    that integral's plus a rounding allowance for the segment term, which
-    grows with the magnitude of the parts of its exponent as the tail
-    rule's does.
+    Gaussian segment integral per (row, ``m``), all taken in one call.
+    Above 0, ``Phi = 1 - Q`` gives :func:`fit_tail_integral`.  The error
+    estimate is that integral's plus a rounding allowance for the segment
+    term, which grows with the magnitude of the parts of its exponent as
+    the tail rule's does.
     """
     tail, error = fit_tail_integral(lam, sigma, ms, c0, c1)
+    lam, c0 = (np.asarray(x, dtype=float)[..., None] for x in (lam, c0))
     m = np.asarray(ms, dtype=float)
     inv2 = 1.0 / (sigma * sigma)
     a = np.sqrt(2.0 * m * _K1 + inv2)
     b = (m * _K2 + lam * inv2) / a
     square = 2.0 * m * _K3 + lam * lam * inv2
     d = _exp_each(-0.5 * (square - b * b))
-    seg = gaussian_segment_integrals(a, b)
+    seg = gaussian_segment_integrals(np.broadcast_to(a, b.shape), b)
     head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
     rounding = _EPS * (16.0 + 0.5 * (square + b * b)) * np.abs(head)
     return head + tail, error + rounding

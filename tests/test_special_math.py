@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy import special as sps
 
@@ -19,11 +20,16 @@ from plcsec import (
     DEFAULT_Q_APPROX,
     ConfigError,
     DomainError,
+    ScenarioParams,
+    effective_links,
     gauss_hermite_rule,
     gaussian_segment_integrals,
+    noise_events,
 )
+from plcsec.metrics import _event_offset
 from plcsec.special_math import (
     _TAIL_BLOCK,
+    _tail_window,
     fit_expectation,
     fit_tail_integral,
     normal_cdf,
@@ -404,9 +410,99 @@ class TestFitExpectation:
     @pytest.mark.parametrize("fit", [fit_expectation, fit_tail_integral])
     @pytest.mark.parametrize("lam, sigma, c0, c1", [(45.0, 1.0, -1.2, 0.8), (80.0, 2.0, 1.0, 0.0)])
     def test_axis_spanning_two_work_blocks(self, fit, lam, sigma, c0, c1):
-        # lam / sigma >= 39 opens the widest window, 156 panels of 24 nodes;
-        # the second block of powers is a partial one.
-        block = _TAIL_BLOCK // (156 * 24)
-        ms = (self.SHUFFLED * 2)[: block + 3]
+        # lam / sigma >= 39 gives every power the window of the density
+        # alone; more powers than a block holds take a second, partial one.
+        _, _, keep = _tail_window(np.array([lam]), sigma, np.array(self.SHUFFLED, dtype=float))
+        [width] = set(keep.ravel().tolist())
+        block = _TAIL_BLOCK // (int(width) * 24)
+        ms = (self.SHUFFLED * 4)[: block + 3]
         assert block < len(ms) < 2 * block
         self.assert_axis_matches_single_m_calls(fit, lam, sigma, ms, c0, c1)
+
+    # One row per noise event, say, on one axis of powers.  sigma = 0.3
+    # spreads the powers of lam = 0 over three windows; the last row has
+    # lam / sigma below -39, so nothing of it lies above 0.
+    ROW_LAMS = [0.0, -1.5, 2.5, 25.0, -20.0]
+    ROW_C0S = [-1.2, 1.0, 0.3, -0.7, 1.0]
+    SPREAD_MS = [25, 0, 100_000, 2, 300, 1, 25, 24, 0, 1000, 7, 100_000, 40]
+
+    @pytest.mark.parametrize("fit", [fit_expectation, fit_tail_integral])
+    def test_each_row_is_the_one_row_call(self, fit):
+        sigma, c1 = 0.3, 0.8
+        _, _, keep = _tail_window(np.array(self.ROW_LAMS[:-1]), sigma, np.array(self.SPREAD_MS))
+        assert len(set(keep[0].tolist())) >= 3
+        values, errors = fit(self.ROW_LAMS, sigma, self.SPREAD_MS, self.ROW_C0S, c1)
+        assert values.shape == errors.shape == (len(self.ROW_LAMS), len(self.SPREAD_MS))
+        for row, (lam, c0) in enumerate(zip(self.ROW_LAMS, self.ROW_C0S)):
+            value, error = fit(lam, sigma, self.SPREAD_MS, c0, c1)
+            assert values[row].tolist() == value.tolist()
+            assert errors[row].tolist() == error.tolist()
+        if fit is fit_tail_integral:
+            assert values[-1].tolist() == errors[-1].tolist() == [0.0] * len(self.SPREAD_MS)
+
+
+def full_window_tail(lam, sigma, m, c0, c1):
+    """The tail rule on every panel of its grid up to 39 standard units,
+    with its error estimate: the Q-fit tail integral without the window."""
+    k1, k2, k3 = DEFAULT_Q_APPROX
+    lo = max(-lam / sigma, -39.0)
+    panels = math.ceil((39.0 - lo) / 0.5)
+    half = 0.5 * (39.0 - lo) / panels
+    mids = lo + half * (2.0 * np.arange(panels)[:, None] + 1.0)
+    sums = []
+    for nodes, weights in (leggauss(16), leggauss(8)):
+        z = mids + half * nodes
+        t = lam + sigma * z
+        exponent = m * np.log1p(-np.exp(-(k1 * t * t + k2 * t + k3))) - 0.5 * z * z
+        terms = (c0 + c1 * t) * np.exp(exponent) * weights * half / SQRT_2PI
+        sums.append((terms.sum(), np.abs(terms * (16.0 + np.abs(exponent))).sum()))
+    (fine, rounding), (coarse, _) = sums
+    return fine, abs(fine - coarse) + np.finfo(float).eps * rounding
+
+
+WINDOW_N = (1, 10, 40, 100, 1000, 100_000)
+
+
+def closed_form_tails(s_b, s_e, n):
+    """Per tail integral of the closed forms at N = n: its name and its
+    (lam, sigma, m, c0, c1) arguments, one row per noise event."""
+    cfg = ScenarioParams(s_b_db=s_b, s_e_db=s_e).system_config(n_destinations=n)
+    dest, eav = effective_links(cfg.topology)
+    phi_e = eav.s / dest.s
+    events = noise_events(cfg.dest_noise, cfg.eav_noise)
+    lams = [_event_offset(ev, dest, eav) for ev in events]
+    c0_b = [math.log(ev.alpha_b) + dest.m for ev in events]
+    c0_e = [math.log(ev.alpha_e) + eav.m - eav.s * lam / phi_e for ev, lam in zip(events, lams)]
+    yield "destination", [0.0] * len(events), 1.0, n - 1, c0_b, dest.s
+    yield "eavesdropper", lams, phi_e, n, c0_e, eav.s / phi_e
+    yield "intercept", lams, phi_e, n, [1.0] * len(events), 0.0
+
+
+@pytest.mark.parametrize("n", WINDOW_N)
+@pytest.mark.parametrize("s_b, s_e", [(6.0, 6.0), (6.0, 2.0), (2.0, 6.0)])
+def test_window_drops_only_what_its_error_covers(s_b, s_e, n):
+    # The window keeps the full rule's panels where the integrand lives:
+    # its gap to the full rule is within its stated error, and that error
+    # is no more than twice the full rule's, so the window costs no
+    # accuracy.  A margin too narrow would show as a stated error far above
+    # the full rule's.
+    for name, lams, sigma, m, c0s, c1 in closed_form_tails(s_b, s_e, n):
+        values, errors = fit_tail_integral(lams, sigma, [m], c0s, c1)
+        for lam, c0, [value], [error] in zip(lams, c0s, values, errors):
+            ref, ref_error = full_window_tail(lam, sigma, m, c0, c1)
+            case = (name, lam, m, value, ref, error, ref_error)
+            assert abs(value - ref) <= error, case
+            assert error <= 2.0 * ref_error, case
+
+
+def test_window_keeps_a_rare_intercept():
+    # s_b / s_e = 6 / 2 dB at N = 1000: the intercept probability is ~1e-36,
+    # all of it in the eavesdropper's tails above 0.
+    [(_, lams, sigma, m, c0s, c1)] = [
+        args for args in closed_form_tails(6.0, 2.0, 1000) if args[0] == "intercept"
+    ]
+    values, _ = fit_tail_integral(lams, sigma, [m], c0s, c1)
+    for lam, [value] in zip(lams, values):
+        ref, _ = full_window_tail(lam, sigma, m, 1.0, 0.0)
+        assert ref > 0.0
+        assert abs(value - ref) <= 1e-12 * ref, (lam, value, ref)
