@@ -7,14 +7,19 @@ scheduled (strongest) destination's branch gain, the eavesdropper branch
 gain and one Bernoulli noise state per node class, and scores the realized
 clamped rate difference (or intercept indicator).  The clamped rate
 difference is one ``log1p`` per trial and power, ``log1p(d / (x_e + 1/P))``
-over the power-free gain gap ``d`` (see :func:`_secrecy_sample`), and each
-step of a block writes into an array the block owns.  The strongest of N
-i.i.d. branches is drawn directly from the elementary CDF of a maximum,
-``Phi^N``, by inversion of one uniform, so a trial costs the same at any N;
-the brute-force N-branch sampler lives on in the tests as an oracle.  The
-inversion is the vectorized AS241 quantile of :mod:`plcsec.special_math`,
-within 7e-16 relative of the exact quantile of each uniform; no analytical
-route uses it, so the cross-check stays independent.
+over the power-free gain gap ``d`` (see :func:`_secrecy_sample`).  The
+strongest of N i.i.d. branches is drawn directly from the elementary CDF of
+a maximum, ``Phi^N``, by inversion of one uniform, so a trial costs the same
+at any N; the brute-force N-branch sampler lives on in the tests as an
+oracle.  The inversion is the vectorized AS241 quantile of
+:mod:`plcsec.special_math`, within 7e-16 relative of the exact quantile of
+each uniform; no analytical route uses it, so the cross-check stays
+independent.
+
+Memory: a block holds only the arrays it still reads.  Each step writes
+over an array the block owns and no longer needs, each noise state stays a
+boolean mask until its side's gain is formed, and the quantile runs over
+slices of ``_SLICE`` trials.
 
 Reproducibility contract: trials are partitioned into fixed-size blocks,
 each block owning a counter-derived substream of the master seed.  Workers
@@ -35,10 +40,8 @@ value.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -55,6 +58,11 @@ __all__ = ["McConfig", "mc_asc", "mc_poi"]
 # Trials per substream block; fixed so that the partition of work depends
 # only on the sample count, never on the worker count.
 _BLOCK = 1 << 16
+
+# Trials per slice of a best-destination draw: AS241's temporaries then
+# take 64 KiB each.  Every step is elementwise, so the slice size never
+# moves a bit.
+_SLICE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,10 @@ def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequ
 
     if mc.workers == 1 or len(sizes) == 1:
         return [task(i) for i in range(len(sizes))]
+    # Imported only here: with logging it is 0.68 MiB resident, which a
+    # serial run does not need.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         return list(pool.map(task, range(len(sizes))))
 
@@ -113,24 +125,28 @@ def _best_of_n_normals(
     ``1 - U^(1/n) = -expm1(log(U) / n)``, which keeps the upper tail (``U^(1/n)``
     near 1) exact.  ``U = 0``, which ``Generator.random`` can return, maps to
     ``-inf``: a best branch gain of exactly 0, its limit.  The uniforms are
-    drawn, their logs taken and the first count's draws formed by this call,
-    before the caller holds its other arrays of the block; each later
-    count's draws are formed only when the returned iterator reaches it, so
-    no (counts x draws) array is held.
+    drawn and their logs taken by this call; each count's draws are formed
+    only when the returned iterator reaches it, and the last count's over
+    the uniforms' own buffer, so no (counts x draws) array is held.
     """
     u = rng.random(m)
     with np.errstate(divide="ignore"):
         log_u = np.log(u, out=u)
-    draws = (_best_draw(log_u, n) for n in ns)
-    return itertools.chain(list(itertools.islice(draws, 1)), draws)
+    last = len(ns) - 1
+    return (_best_draw(log_u, n, log_u if k == last else None) for k, n in enumerate(ns))
 
 
-def _best_draw(log_u: np.ndarray, n: int) -> np.ndarray:
-    """``-Phi^-1(-expm1(log_u / n))``, each step after the division in place."""
-    t = np.divide(log_u, n)
-    np.expm1(t, out=t)
-    z = normal_quantile(np.negative(t, out=t))
-    return np.negative(z, out=z)
+def _best_draw(log_u: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``-Phi^-1(-expm1(log_u / n))``, written to ``out`` (a new array if
+    none; ``log_u`` itself may be given) one slice of ``_SLICE`` at a time."""
+    if out is None:
+        out = np.empty_like(log_u)
+    for lo in range(0, log_u.size, _SLICE):
+        t = np.divide(log_u[lo : lo + _SLICE], n)
+        np.expm1(t, out=t)
+        z = normal_quantile(np.negative(t, out=t))
+        np.negative(z, out=out[lo : lo + _SLICE])
+    return out
 
 
 def _asc_estimate(mc: McConfig, z: float, partials: list) -> SecrecyResult | EvaluationError:
@@ -174,7 +190,8 @@ def mc_asc(
     With ``powers``, a sequence of linear transmit powers, each block draws
     its trials, forms ``x_e`` and ``d`` once and scores them at every power
     in turn (common random numbers): per power one buffer takes
-    ``x_e + 1/P`` and another the division, the ``log1p`` and the two sums.
+    ``x_e + 1/P``, then the division, the ``log1p`` and the two sums over
+    it.  By then the block holds only ``x_e``, ``d`` and that buffer.
     A list with one entry per power is returned: entry ``k`` is bit for bit
     the result of ``mc_asc(replace(cfg, transmit_power=powers[k]), mc)``, or
     the :class:`EvaluationError` that call raises.  ``cfg.transmit_power``
@@ -185,7 +202,7 @@ def mc_asc(
     bit the call on ``cfg`` with ``n_destinations = destinations[k]``, or
     the error that call raises, and ``cfg.topology.n_destinations`` is not
     used.  A block's draws do not depend on the count, so each block draws
-    them, and forms ``x_e + 1/P``, once; per count it forms only the best
+    them, and forms ``x_e``, once; per count it forms only the best
     destination's draw, ``d`` and the score.  At most one of
     ``powers`` and ``destinations`` may be given.
     """
@@ -204,32 +221,37 @@ def mc_asc(
         z_a = rng.standard_normal(m)
         z_bests = _best_of_n_normals(rng, m, ns)
         z_e = rng.standard_normal(m)
-        at_b = np.where(rng.random(m) < p_b, at2b, at1b)
-        at_e = np.where(rng.random(m) < p_e, at2e, at1e)
+        hit_b = rng.random(m) < p_b
+        hit_e = rng.random(m) < p_e
 
         # Overflow leaves a non-finite sample, which scoring reports.  Each
-        # step writes into an array this block owns.
+        # step writes over an array this block owns.
         with np.errstate(over="ignore", invalid="ignore"):
             ln_shared = None
             if topo.pinhole_present:
                 ln_shared = z_a
                 ln_shared *= src.s
                 ln_shared += src.m
-            x_e = _power_free_gain(z_e, eav, ln_shared, at_e)
-            # Not read again: z_a is dropped to leave room for the per-count
-            # draws, and at_e's buffer takes the samples.
             del z_a
-            cs = at_e
-            # One power serves every count with one denominator; a power
-            # axis (one count) re-forms it in place power by power.
-            den = np.add(x_e, 1.0 / axis[0])
+            x_e = _power_free_gain(z_e, eav, ln_shared, np.where(hit_e, at2e, at1e))
+            del hit_e
+            den = None
             scores = []
-            for z_best in z_bests:
-                d = _gain_gap(_power_free_gain(z_best, dest, ln_shared, at_b), x_e)
-                for k, power in enumerate(axis):
-                    if k:
-                        np.add(x_e, 1.0 / power, out=den)
-                    scores.append(_score(_secrecy_sample(d, den, cs)))
+            for k, z_best in enumerate(z_bests):
+                if k == 0:
+                    # Formed once, after the first draw has freed its slices.
+                    at_b = np.where(hit_b, at2b, at1b)
+                    del hit_b
+                x_b = _power_free_gain(z_best, dest, ln_shared, at_b)
+                if k == len(ns) - 1:
+                    # Not read again: dropped before the scores need room.
+                    ln_shared = at_b = None
+                d = _gain_gap(x_b, x_e)
+                if den is None:
+                    den = np.empty_like(x_e)
+                for power in axis:
+                    np.add(x_e, 1.0 / power, out=den)
+                    scores.append(_score(_secrecy_sample(d, den, den)))
             return scores
 
     partials = _run_blocks(mc, run_one)
@@ -310,16 +332,20 @@ def mc_poi(
 
     def run_one(rng: np.random.Generator, m: int) -> list:
         z_bests = _best_of_n_normals(rng, m, ns)
-        ln_eav = rng.standard_normal(m)
-        ln_eav *= eav.s
-        ln_eav += eav.m
-        level_b = np.where(rng.random(m) < p_b, log_b[1], log_b[0])
-        rhs = np.where(rng.random(m) < p_e, log_e[1], log_e[0])
-        rhs += ln_eav
-        # Not read again: dropped, it leaves room for the per-count draws.
-        del ln_eav
+        rhs = rng.standard_normal(m)
+        hit_b = rng.random(m) < p_b
+        hit_e = rng.random(m) < p_e
+        # ln_eav + level_e, formed over the normals.
+        rhs *= eav.s
+        rhs += eav.m
+        rhs += np.where(hit_e, log_e[1], log_e[0])
+        del hit_e
         hits = []
-        for z in z_bests:
+        for k, z in enumerate(z_bests):
+            if k == 0:
+                # Formed once, after the first draw has freed its slices.
+                level_b = np.where(hit_b, log_b[1], log_b[0])
+                del hit_b
             # level_b + (s z + m), formed in place.
             z *= dest.s
             z += dest.m

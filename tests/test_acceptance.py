@@ -9,7 +9,7 @@ to unit background noise variance, dB-to-natural conversion ln(10)/10):
 
 * criterion 02: at P = 60 dB the eavesdropper's end-to-end median SNR is
   exactly 0 dB (the two link means sum to -60 dB), so the exact average is
-  still ~17% below its saturation value; the 2% band is reached near 85 dB.
+  still ~17% below its saturation value; the 2% band is reached at 77 dB.
 * criterion 08: the impulse-strength swap at p = 0.1 changes the average by
   ~0.09 bpcu (3% of the metric, invisible at plot scale but above the
   0.05 bpcu desk tolerance); no transmit power satisfies both clause bands

@@ -853,6 +853,8 @@ class TestDestinationAxis:
             assert_same_entry(got, one_count(route, cfg, n), n)
         assert route(cfg, destinations=(7,)) == [route(with_destinations(cfg, 7))]
         assert route(cfg, destinations=()) == []
+        if route is asc_quadrature:
+            assert route(cfg, powers=()) == []
 
     @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
     @pytest.mark.parametrize("order", [64, 160])

@@ -32,6 +32,7 @@ from plcsec import (
     poi_closed_form,
     poi_quadrature,
 )
+from plcsec.special_math import normal_quantile
 
 
 def brute_force_best_of_n(rng, m, n, rows=8192):
@@ -49,6 +50,15 @@ def best_of_n_normal(rng, m, n):
     """The Monte Carlo sampler's ``m`` best-destination draws at one count."""
     (z,) = mc_mod._best_of_n_normals(rng, m, (n,))
     return z
+
+
+def whole_array_draw(log_u, n):
+    """The best-destination draw's chain, ``-Phi^-1(-expm1(log_u / n))``,
+    over the whole array at once."""
+    t = np.divide(log_u, n)
+    np.expm1(t, out=t)
+    z = normal_quantile(np.negative(t, out=t))
+    return np.negative(z, out=z)
 
 
 class ConstantUniforms:
@@ -144,7 +154,7 @@ class TestMcAsc:
         cfg = make_config(n=3)
         runs = [
             mc_asc(cfg, McConfig(samples=200_000, seed=77, workers=w))
-            for w in (1, 1, 3, 7)
+            for w in (1, 1, 2, 3, 7)
         ]
         assert len({(r.value, r.ci_halfwidth) for r in runs}) == 1
 
@@ -345,6 +355,58 @@ class TestBestOfNSampler:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize(
+        "call, bound_mib",
+        [
+            (lambda cfg, mc: mc_asc(cfg, mc, powers=[10 ** (db / 10) for db in range(-10, 62, 2)]),
+             2.5),
+            (lambda cfg, mc: mc_poi(cfg, mc), 2.0),
+            (lambda cfg, mc: mc_asc(cfg, mc, destinations=range(1, 17)), 4.5),
+            (lambda cfg, mc: mc_poi(cfg, mc, destinations=range(1, 17)), 3.5),
+        ],
+        ids=["asc-36-powers", "poi", "asc-n1..16", "poi-n1..16"],
+    )
+    def test_one_block_holds_only_what_it_reads(self, call, bound_mib):
+        # One full block: 512 KiB per float array.  The bounds sit above
+        # the measured 2.1, 1.6, 4.1 and 3.1 MiB, and below the 4.1, 3.6,
+        # 8.0 and 6.5 MiB of whole-block quantile temporaries with every
+        # noise state and dead array held to the end.
+        cfg = make_config()
+        mc = McConfig(samples=mc_mod._BLOCK, seed=1)
+        call(cfg, mc)
+        tracemalloc.start()
+        try:
+            call(cfg, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 40])
+    def test_sliced_draw_matches_whole_array_bit_for_bit(self, n):
+        # A partial block of 10^5 samples: four whole slices and part of a
+        # fifth.  The extreme uniforms, and those whose quantile argument
+        # p = -expm1(log(u) / n) lies on either side of one of AS241's
+        # branch edges, are placed at both ends and across every slice edge.
+        special = [0.0, 1.0 - 2.0**-53]
+        for edge in (0.075, 0.925, math.exp(-25.0)):
+            near = np.exp(n * np.log1p(-edge * (1.0 + np.array([-1e-4, -1e-9, 0.0, 1e-9, 1e-4]))))
+            p = -np.expm1(np.log(near) / n)
+            assert p.min() < edge < p.max(), edge
+            special.extend(near)
+        special = np.array(special)
+
+        m = 100_000 - mc_mod._BLOCK
+        u = np.random.default_rng(n).random(m)
+        k = special.size
+        for lo in [0, m - k] + [i - k // 2 for i in range(mc_mod._SLICE, m, mc_mod._SLICE)]:
+            u[lo : lo + k] = special
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        want = whole_array_draw(log_u, n).tobytes()
+        assert mc_mod._best_draw(log_u, n).tobytes() == want
+        assert mc_mod._best_draw(log_u, n, log_u).tobytes() == want
+
 
 # Destination counts on both sides of 24/25 and far past the old cap of 1000.
 AXIS_NS = (1, 2, 24, 25, 1000, 10**5)
@@ -418,6 +480,7 @@ class TestDestinationAxis:
             for n, got in zip(axis, route(cfg, mc, destinations=axis)):
                 assert_same_entry(got, one_count(route, cfg, mc, n), (route.__name__, n))
             assert route(cfg, mc, destinations=()) == []
+        assert mc_asc(cfg, mc, powers=()) == []
 
     def test_powers_and_destinations_together_raise(self):
         with pytest.raises(ConfigError, match="not both"):

@@ -796,13 +796,16 @@ class TestCli:
 
     def test_import_leaves_out_mpmath_and_scipy_integrate(self):
         # Each would add import time and resident memory to every run; so
-        # would any other part of scipy, which is a test-only dependency.
+        # would any other part of scipy, which is a test-only dependency,
+        # and the thread pool, which only a Monte Carlo run on more than
+        # one worker needs.
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import plcsec, plcsec.cli, sys; "
-                "print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)), "
+                "print(sorted({'mpmath', 'scipy.integrate', 'concurrent.futures'} "
+                "& set(sys.modules)), "
                 "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ],
             capture_output=True,
