@@ -18,8 +18,11 @@ independent.
 
 Memory: a block holds only the arrays it still reads.  Each step writes
 over an array the block owns and no longer needs, each noise state stays a
-boolean mask until its side's gain is formed, and the quantile runs over
-slices of ``_SLICE`` trials.
+boolean mask until its side's gain is formed, and a serial run forms each
+best-destination draw over slices of ``_SLICE`` trials.  A run on worker
+threads draws whole blocks instead: each numpy call of a slice would hand
+the GIL from one worker thread to another, and on two workers those
+handoffs doubled the time of a destination axis.
 
 Reproducibility contract: trials are partitioned into fixed-size blocks,
 each block owning a counter-derived substream of the master seed.  Workers
@@ -59,9 +62,9 @@ __all__ = ["McConfig", "mc_asc", "mc_poi"]
 # only on the sample count, never on the worker count.
 _BLOCK = 1 << 16
 
-# Trials per slice of a best-destination draw: AS241's temporaries then
-# take 64 KiB each.  Every step is elementwise, so the slice size never
-# moves a bit.
+# Trials per slice of a best-destination draw in a serial run: AS241's
+# temporaries then take 64 KiB each.  Every step is elementwise, so the
+# slice size never moves a bit.
 _SLICE = 1 << 13
 
 
@@ -95,6 +98,13 @@ def _block_sizes(samples: int) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
+def _draw_step(mc: McConfig) -> int:
+    """Trials per slice of a best-destination draw: ``_SLICE`` when the
+    blocks run one after another, a whole block when :func:`_run_blocks`
+    runs them on worker threads, which share the GIL."""
+    return _BLOCK if mc.workers > 1 and mc.samples > _BLOCK else _SLICE
+
+
 def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequence]) -> list:
     """Evaluate every block on its own substream, in a deterministic layout."""
     sizes = _block_sizes(mc.samples)
@@ -115,7 +125,7 @@ def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequ
 
 
 def _best_of_n_normals(
-    rng: np.random.Generator, m: int, ns: Sequence[int]
+    rng: np.random.Generator, m: int, ns: Sequence[int], step: int = _SLICE
 ) -> Iterator[np.ndarray]:
     """Per destination count ``n`` of ``ns``, ``m`` draws of the maximum of
     ``n`` i.i.d. standard normals, all from the same ``m`` uniforms.
@@ -125,27 +135,37 @@ def _best_of_n_normals(
     ``1 - U^(1/n) = -expm1(log(U) / n)``, which keeps the upper tail (``U^(1/n)``
     near 1) exact.  ``U = 0``, which ``Generator.random`` can return, maps to
     ``-inf``: a best branch gain of exactly 0, its limit.  The uniforms are
-    drawn and their logs taken by this call; each count's draws are formed
-    only when the returned iterator reaches it, and the last count's over
-    the uniforms' own buffer, so no (counts x draws) array is held.
+    drawn and their logs taken by this call; each count's draws are formed,
+    ``step`` trials at a time, only when the returned iterator reaches it,
+    and the last count's over the uniforms' own buffer, so no (counts x
+    draws) array is held.
     """
     u = rng.random(m)
     with np.errstate(divide="ignore"):
         log_u = np.log(u, out=u)
     last = len(ns) - 1
-    return (_best_draw(log_u, n, log_u if k == last else None) for k, n in enumerate(ns))
+    return (
+        _best_draw(log_u, n, log_u if k == last else None, step) for k, n in enumerate(ns)
+    )
 
 
-def _best_draw(log_u: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``-Phi^-1(-expm1(log_u / n))``, written to ``out`` (a new array if
-    none; ``log_u`` itself may be given) one slice of ``_SLICE`` at a time."""
-    if out is None:
+def _best_draw(
+    log_u: np.ndarray, n: int, out: np.ndarray | None = None, step: int = _SLICE
+) -> np.ndarray:
+    """``-Phi^-1(-expm1(log_u / n))``, ``step`` trials at a time.  Each slice
+    is formed in the part of ``out`` it fills (``out`` may be ``log_u``
+    itself); without ``out``, a sliced draw gets a new array and a whole one
+    the quantile's own."""
+    if out is None and step < log_u.size:
         out = np.empty_like(log_u)
-    for lo in range(0, log_u.size, _SLICE):
-        t = np.divide(log_u[lo : lo + _SLICE], n)
+    for lo in range(0, log_u.size, step):
+        part = None if out is None else out[lo : lo + step]
+        t = np.divide(log_u[lo : lo + step], n, out=part)
         np.expm1(t, out=t)
         z = normal_quantile(np.negative(t, out=t))
-        np.negative(z, out=out[lo : lo + _SLICE])
+        if out is None:
+            return np.negative(z, out=z)
+        np.negative(z, out=part)
     return out
 
 
@@ -207,9 +227,12 @@ def mc_asc(
     ``powers`` and ``destinations`` may be given.
     """
     axis, ns = route_axes(cfg, powers, destinations)
+    if not (axis and ns):
+        return []
     topo = cfg.topology
     dest, eav = effective_links(topo)
     src = topo.source_link
+    step = _draw_step(mc)
     (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
     (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
 
@@ -219,7 +242,7 @@ def mc_asc(
         # shared-gain normals are consumed even without a pinhole so paired
         # comparisons share randomness.
         z_a = rng.standard_normal(m)
-        z_bests = _best_of_n_normals(rng, m, ns)
+        z_bests = _best_of_n_normals(rng, m, ns, step)
         z_e = rng.standard_normal(m)
         hit_b = rng.random(m) < p_b
         hit_e = rng.random(m) < p_e
@@ -239,7 +262,7 @@ def mc_asc(
             scores = []
             for k, z_best in enumerate(z_bests):
                 if k == 0:
-                    # Formed once, after the first draw has freed its slices.
+                    # Formed once, after the first draw has freed its temporaries.
                     at_b = np.where(hit_b, at2b, at1b)
                     del hit_b
                 x_b = _power_free_gain(z_best, dest, ln_shared, at_b)
@@ -324,14 +347,17 @@ def mc_poi(
     formed once, for every count.
     """
     _, ns = route_axes(cfg, destinations=destinations)
+    if not ns:
+        return []
     dest, eav = effective_links(cfg.topology)
+    step = _draw_step(mc)
     (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
     (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
     log_b = (math.log(at1b), math.log(at2b))
     log_e = (math.log(at1e), math.log(at2e))
 
     def run_one(rng: np.random.Generator, m: int) -> list:
-        z_bests = _best_of_n_normals(rng, m, ns)
+        z_bests = _best_of_n_normals(rng, m, ns, step)
         rhs = rng.standard_normal(m)
         hit_b = rng.random(m) < p_b
         hit_e = rng.random(m) < p_e
@@ -343,7 +369,7 @@ def mc_poi(
         hits = []
         for k, z in enumerate(z_bests):
             if k == 0:
-                # Formed once, after the first draw has freed its slices.
+                # Formed once, after the first draw has freed its temporaries.
                 level_b = np.where(hit_b, log_b[1], log_b[0])
                 del hit_b
             # level_b + (s z + m), formed in place.

@@ -331,7 +331,7 @@ class TestBestOfNSampler:
         direct = mc_asc(cfg, mc)
         monkeypatch.setattr(
             mc_mod, "_best_of_n_normals",
-            lambda rng, m, ns: [brute_force_best_of_n(rng, m, n) for n in ns],
+            lambda rng, m, ns, step: [brute_force_best_of_n(rng, m, n) for n in ns],
         )
         brute = mc_asc(cfg, mc)
         assert direct.value != brute.value
@@ -367,7 +367,7 @@ class TestBestOfNSampler:
         ids=["asc-36-powers", "poi", "asc-n1..16", "poi-n1..16"],
     )
     def test_one_block_holds_only_what_it_reads(self, call, bound_mib):
-        # One full block: 512 KiB per float array.  The bounds sit above
+        # One full block of a serial run: 512 KiB per float array.  The bounds sit above
         # the measured 2.1, 1.6, 4.1 and 3.1 MiB, and below the 4.1, 3.6,
         # 8.0 and 6.5 MiB of whole-block quantile temporaries with every
         # noise state and dead array held to the end.
@@ -404,8 +404,24 @@ class TestBestOfNSampler:
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
         want = whole_array_draw(log_u, n).tobytes()
-        assert mc_mod._best_draw(log_u, n).tobytes() == want
-        assert mc_mod._best_draw(log_u, n, log_u).tobytes() == want
+        # A serial run's slices and a threaded run's whole block, each into
+        # a new array and over the uniforms' own buffer.
+        for step in (mc_mod._SLICE, mc_mod._BLOCK):
+            assert mc_mod._best_draw(log_u, n, step=step).tobytes() == want, step
+            over = log_u.copy()
+            assert mc_mod._best_draw(over, n, over, step).tobytes() == want, step
+
+    def test_only_a_threaded_run_draws_whole_blocks(self):
+        # Slices trade memory for numpy calls, and each call hands the GIL
+        # to the other worker threads; a run that uses no pool slices.
+        block = mc_mod._BLOCK
+        for workers, samples, step in [
+            (1, 10 * block, mc_mod._SLICE),
+            (2, block, mc_mod._SLICE),
+            (2, block + 1, block),
+            (7, 10 * block, block),
+        ]:
+            assert mc_mod._draw_step(McConfig(samples=samples, seed=0, workers=workers)) == step
 
 
 # Destination counts on both sides of 24/25 and far past the old cap of 1000.
@@ -481,6 +497,17 @@ class TestDestinationAxis:
                 assert_same_entry(got, one_count(route, cfg, mc, n), (route.__name__, n))
             assert route(cfg, mc, destinations=()) == []
         assert mc_asc(cfg, mc, powers=()) == []
+
+    def test_bit_identical_across_workers(self):
+        # Two workers draw whole blocks, one worker draws them in slices.
+        cfg = make_config(p_b=0.1, p_e=0.1)
+        for route in (mc_asc, mc_poi):
+            serial, pooled = (
+                route(cfg, McConfig(samples=140_000, seed=8, workers=w), destinations=AXIS_NS)
+                for w in (1, 2)
+            )
+            for n, got, want in zip(AXIS_NS, pooled, serial):
+                assert_same_entry(got, want, (route.__name__, n))
 
     def test_powers_and_destinations_together_raise(self):
         with pytest.raises(ConfigError, match="not both"):
