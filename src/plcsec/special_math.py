@@ -8,9 +8,12 @@ Four building blocks live here:
   one ``math.erfc`` call per element; the quantile is Wichura's AS241.
 * Gauss-Hermite rules in the *probabilists'* normalization, i.e. nodes and
   weights such that ``sum(w_i * f(z_i))`` approximates ``E[f(Z)]`` for a
-  standard normal Z.  ``hermgauss`` supplies the physicists' rule for
-  ``int exp(-x^2) g(x) dx``; substituting z = sqrt(2) x rescales nodes by
-  sqrt(2) and weights by 1/sqrt(pi).
+  standard normal Z.  They are built here, with no linear algebra: Newton's
+  method on the three-term recurrence of the orthonormal Hermite
+  polynomials, from asymptotic first guesses, gives the physicists' rule
+  for ``int exp(-x^2) g(x) dx``; substituting z = sqrt(2) x rescales nodes
+  by sqrt(2) and weights by 1/sqrt(pi).  The Gauss-Legendre panel rule of
+  ``fit_tail_integral`` is built the same way on the Legendre recurrence.
 * ``gaussian_segment_integrals`` -- the four half-axis moments of
   ``exp(-(a t - b)^2 / 2) / sqrt(2 pi)``, elementwise over arrays of
   ``(a, b)``.
@@ -35,10 +38,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, EvaluationError
 
 __all__ = [
     "DEFAULT_Q_APPROX",
@@ -60,6 +61,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT1_2 = math.sqrt(0.5)
 DEFAULT_QUAD_ORDER = 64
 MAX_QUAD_ORDER = 200
+_EPS = np.finfo(float).eps
 
 
 # Exponential tail fit ``Q(t) ~ exp(-(k1 t^2 + k2 t + k3))`` for t >= 0, the
@@ -257,21 +259,120 @@ def checked_quad_order(order) -> int:
     return int(order)
 
 
+# Newton's method from the first guesses below settles every node of every
+# rule here within 5 steps, the last one of at most an ulp; the cap only
+# stops a breakdown.
+_NEWTON_STEPS = 32
+
+
+def _gauss_nodes(guess: np.ndarray, newton_step) -> np.ndarray:
+    """The roots of a polynomial next to ``guess``, by Newton's method.
+
+    ``newton_step(x)`` is the polynomial over its derivative at ``x``.  The
+    steps go on until none moves a node by more than ``eps * max(1, |x|)``,
+    about one ulp.  Raises :class:`EvaluationError` unless the nodes then
+    are finite, distinct and strictly increasing, as a Gauss rule's are:
+    two guesses that fell to one root would give a wrong rule.
+    """
+    x = guess
+    for _ in range(_NEWTON_STEPS):
+        step = newton_step(x)
+        x = x - step
+        if (np.abs(step) <= _EPS * np.maximum(1.0, np.abs(x))).all():
+            if (np.diff(x) > 0.0).all():
+                return x
+            break
+    raise EvaluationError(f"Newton's method gave no Gauss rule of order {guess.size}")
+
+
+def _hermite(x: np.ndarray, n: int) -> np.ndarray:
+    """The orthonormal physicists' Hermite polynomial ``psi_n`` at ``x``.
+
+    ``psi_n`` has unit norm under ``exp(-x^2)``, so it stays finite at every
+    node of every order here (the plain ``H_n`` overflows from n = 207 on).
+    It is summed downward, as numpy's ``_normed_hermite_n`` does, which
+    keeps the weights within a few ulps of ``hermgauss``'s.
+    """
+    if n == 0:
+        return np.full(x.shape, 1.0 / math.sqrt(math.sqrt(math.pi)))
+    c0 = 0.0
+    c1 = 1.0 / math.sqrt(math.sqrt(math.pi))
+    for nd in range(n, 1, -1):
+        c0, c1 = c1 * -math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
+    return c0 + c1 * x * math.sqrt(2.0)
+
+
+def _hermite_guess(n: int) -> np.ndarray:
+    """First guesses at the roots of ``psi_n``, increasing, by WKB.
+
+    With ``nu = 2n + 1`` and ``x = sqrt(nu) sin(phi)``, the phase
+    ``(nu / 4)(2 phi + sin 2 phi)`` of ``psi_n`` at the j-th positive root is
+    ``(j - 1/2) pi`` for even n and ``j pi`` for odd n, whose middle root is
+    0.  Newton's method on ``phi``, from below, climbs to each phase
+    monotonically, as ``2 phi + sin 2 phi`` is concave on [0, pi/2].
+    """
+    nu = 2.0 * n + 1.0
+    positive = []
+    for j in range(1, n // 2 + 1):
+        u = 4.0 / nu * (j - 0.5 if n % 2 == 0 else j) * math.pi
+        phi = 0.25 * u
+        for _ in range(8):
+            phi -= (2.0 * phi + math.sin(2.0 * phi) - u) / (2.0 + 2.0 * math.cos(2.0 * phi))
+        positive.append(math.sqrt(nu) * math.sin(phi))
+    return np.array([-x for x in reversed(positive)] + [0.0] * (n % 2) + positive)
+
+
 @lru_cache(maxsize=32)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Build the probabilists' Gauss-Hermite rule of the given order.
 
-    Nodes/weights come from the eigen-decomposition of the Jacobi matrix
-    (``numpy.polynomial.hermite.hermgauss``) for the physicists' weight
-    ``exp(-x^2)`` and are rescaled to the standard normal measure.
+    The nodes are the roots of ``psi_order`` (:func:`_hermite`), by Newton's
+    method from WKB first guesses, with ``psi_order' = sqrt(2 order)
+    psi_(order-1)``.  The rule is then finished as numpy's ``hermgauss``
+    finishes its own: weights ``1 / psi_(order-1)^2``, with ``psi_(order-1)``
+    scaled by its largest magnitude; nodes and weights symmetrized; weights
+    scaled to sum to ``sqrt(pi)``.  The physicists' rule so built is
+    rescaled to the standard normal measure.  Its nodes agree with
+    ``hermgauss``'s within 4e-15 ``max(1, |x|)`` and its weights within 2e-15
+    of the largest weight, at every order; no eigenvalue solver runs.
+    Raises :class:`EvaluationError` if the nodes do not come out distinct
+    and increasing.
     """
     order = checked_quad_order(order)
-    x, w = hermgauss(order)
+    slope = math.sqrt(2.0 * order)
+    x = _gauss_nodes(
+        _hermite_guess(order), lambda x: _hermite(x, order) / (slope * _hermite(x, order - 1))
+    )
+    below = _hermite(x, order - 1)
+    below /= np.abs(below).max()
+    w = 1.0 / (below * below)
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    w *= math.sqrt(math.pi) / w.sum()
     nodes = math.sqrt(2.0) * x
     weights = w / math.sqrt(math.pi)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
+
+
+def _legendre(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Legendre polynomial ``P_n`` at ``x`` and its derivative, by the
+    recurrence ``(k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)`` and
+    ``P_n' = n (x P_n - P_(n-1)) / (x^2 - 1)``."""
+    below, value = np.ones_like(x), x
+    for k in range(1, n):
+        below, value = value, ((2 * k + 1) * x * value - k * below) / (k + 1)
+    return value, n * (x * value - below) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], from the first guesses
+    ``cos(pi (k - 1/4) / (n + 1/2))`` and weights ``2 / ((1 - x^2) P_n'^2)``."""
+    guess = np.array([math.cos(math.pi * (k - 0.25) / (n + 0.5)) for k in range(n, 0, -1)])
+    x = _gauss_nodes(guess, lambda x: np.divide(*_legendre(x, n)))
+    slope = _legendre(x, n)[1]
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
 class SegmentIntegrals(NamedTuple):
@@ -287,12 +388,6 @@ class SegmentIntegrals(NamedTuple):
     i_neg_t: np.ndarray
     i_pos: np.ndarray
     i_pos_t: np.ndarray
-
-
-def _exp_each(x: np.ndarray) -> np.ndarray:
-    """``exp`` of an array by one libm call per element, as the scalar
-    formulas take it; ``np.exp`` rounds some elements differently."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def gaussian_segment_integrals(a, b) -> SegmentIntegrals:
@@ -317,7 +412,7 @@ def gaussian_segment_integrals(a, b) -> SegmentIntegrals:
     if (a <= 0.0).any():
         raise DomainError("gaussian_segment_integrals requires a > 0")
     q_b = normal_cdf(-b)
-    phi_b = _exp_each(-0.5 * b * b) / SQRT_2PI
+    phi_b = np.exp(-0.5 * b * b) / SQRT_2PI
     a2 = a * a
     return SegmentIntegrals(
         i_neg=q_b / a,
@@ -333,10 +428,9 @@ def gaussian_segment_integrals(a, b) -> SegmentIntegrals:
 # error estimate.
 _PANEL_WIDTH = 0.5
 _Z_MAX = 39.0
-_GL_NODES, _GL_WEIGHTS = np.hstack([leggauss(16), leggauss(8)])
+_GL_NODES, _GL_WEIGHTS = np.hstack([_gauss_legendre(16), _gauss_legendre(8)])
 _GL_FINE = slice(0, 16)
 _GL_COARSE = slice(16, None)
-_EPS = np.finfo(float).eps
 _K1, _K2, _K3 = DEFAULT_Q_APPROX
 # Each power keeps the panels that start below _WINDOW_MARGIN standard units
 # past the larger of 0 and the step of its power, where the integrand is
@@ -491,7 +585,7 @@ def fit_expectation(
     a = np.sqrt(2.0 * m * _K1 + inv2)
     b = (m * _K2 + lam * inv2) / a
     square = 2.0 * m * _K3 + lam * lam * inv2
-    d = _exp_each(-0.5 * (square - b * b))
+    d = np.exp(-0.5 * (square - b * b))
     seg = gaussian_segment_integrals(np.broadcast_to(a, b.shape), b)
     head = d * (c0 * seg.i_neg + c1 * seg.i_neg_t) / sigma
     rounding = _EPS * (16.0 + 0.5 * (square + b * b)) * np.abs(head)

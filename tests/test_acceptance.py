@@ -97,6 +97,16 @@ def test_criterion_02_asymptote_saturation_at_60db():
     assert all(rel <= 0.02 for rel in rels.values())
 
 
+def test_asymptote_band_is_reached_at_77db():
+    # Where criterion 02's 2% band is reached on this axis (see the module
+    # docstring): not yet at 76 dB, from 77 dB on.
+    for n in (10, 40):
+        scenario = ScenarioParams(n_destinations=n)
+        asym = asc_asymptotic(scenario.system_config()).value
+        gaps = [abs(asc_q(scenario, p) - asym) / asym for p in (76.0, 77.0)]
+        assert gaps[0] > 0.02 >= gaps[1], (n, gaps)
+
+
 def test_criterion_03_asymptote_gap_widens_as_means_close():
     gaps = {}
     for m_b in (-20.0, -30.0):

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy import special as sps
@@ -20,15 +21,22 @@ from plcsec import (
     DEFAULT_Q_APPROX,
     ConfigError,
     DomainError,
+    EvaluationError,
     ScenarioParams,
     effective_links,
     gauss_hermite_rule,
     gaussian_segment_integrals,
     noise_events,
 )
+from plcsec import special_math
 from plcsec.metrics import _event_offset
 from plcsec.special_math import (
+    _GL_COARSE,
+    _GL_FINE,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _TAIL_BLOCK,
+    MAX_QUAD_ORDER,
     _tail_window,
     fit_expectation,
     fit_tail_integral,
@@ -279,6 +287,37 @@ class TestGaussHermiteRule:
         rule = gauss_hermite_rule(8)
         with pytest.raises(ValueError):
             rule.nodes[0] = 1.0
+
+    def test_agrees_with_numpy_at_every_order(self):
+        # numpy's rule, from an eigenvalue solver, is a test-only reference.
+        for order in range(1, MAX_QUAD_ORDER + 1):
+            rule = gauss_hermite_rule(order)
+            x, w = hermgauss(order)
+            x, w = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+            assert (np.abs(rule.nodes - x) <= 4e-15 * np.maximum(1.0, np.abs(x))).all(), order
+            assert np.abs(rule.weights - w).max() <= 2e-15 * w.max(), order
+
+    def test_guesses_that_meet_raise(self, monkeypatch):
+        # Guesses that fall to one root would give a rule with a repeated node.
+        monkeypatch.setattr(special_math, "_hermite_guess", lambda order: np.zeros(order))
+        with pytest.raises(EvaluationError, match="order 5"):
+            gauss_hermite_rule.__wrapped__(5)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("n, part", [(16, _GL_FINE), (8, _GL_COARSE)])
+    def test_agrees_with_numpy_and_the_exact_rule(self, n, part):
+        nodes, weights = _GL_NODES[part], _GL_WEIGHTS[part]
+        x = leggauss(n)[0]
+        assert (np.abs(nodes - x) <= 4e-15 * np.maximum(1.0, np.abs(x))).all()
+        # The weights 2 (1 - x^2) / (n P_(n-1)(x))^2 at 40 digits: numpy's
+        # own end weights of leggauss(8) are 2.2e-15 of the largest off them.
+        with mpmath.workdps(40):
+            roots = [mpmath.findroot(lambda t: mpmath.legendre(n, t), v) for v in x.tolist()]
+            exact = np.array(
+                [float(2 * (1 - t * t) / (n * mpmath.legendre(n - 1, t)) ** 2) for t in roots]
+            )
+        assert np.abs(weights - exact).max() <= 2e-15 * exact.max()
 
 
 class TestExpectStandardNormal:

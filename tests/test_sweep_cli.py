@@ -42,6 +42,13 @@ from plcsec.config import spec_to_dict
 TINY_MC = McConfig(samples=10_000, seed=5, workers=1)
 
 
+def src_env():
+    """The environment with this checkout's plcsec first on the path."""
+    src = str(Path(plcsec.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def small_spec(**overrides):
     kwargs = dict(
         metric="asc",
@@ -725,12 +732,9 @@ class TestCli:
                 "  destination: {mean_db: 1954.0}\n"
                 "  eavesdropper: {mean_db: -1303.0}\n"
             )
-            src = str(Path(plcsec.__file__).parents[1])
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
             return subprocess.run(
                 [sys.executable, "-m", "plcsec.cli", "sweep", str(cfg)],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=src_env(),
             )
 
         both, alone = sweep("[20, 3000]"), sweep("[20]")
@@ -794,25 +798,66 @@ class TestCli:
         assert main(args) == 0
         assert seen == {len(os.sched_getaffinity(0))}
 
-    def test_import_leaves_out_mpmath_and_scipy_integrate(self):
+    def test_import_leaves_out_mpmath_and_scipy_integrate(self, tmp_path):
         # Each would add import time and resident memory to every run; so
         # would any other part of scipy, which is a test-only dependency,
-        # and the thread pool, which only a Monte Carlo run on more than
-        # one worker needs.
+        # the thread pool, which only a Monte Carlo run on more than one
+        # worker needs, and numpy.polynomial, whose Gauss rules plcsec
+        # builds itself; it must stay out after a sweep has built them too.
+        code = (
+            "import plcsec, plcsec.cli, sys\n"
+            "def loaded():\n"
+            "    names = {'mpmath', 'scipy.integrate', 'concurrent.futures', 'numpy.polynomial'}\n"
+            "    print(sorted(names & set(sys.modules)),\n"
+            "          sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "loaded()\n"
+            "code = plcsec.cli.main(sys.argv[1:])\n"
+            "loaded()\n"
+            "sys.exit(code)\n"
+        )
+        args = ["sweep", str(self._write_config(tmp_path)), "--out", str(tmp_path / "out.csv")]
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import plcsec, plcsec.cli, sys; "
-                "print(sorted({'mpmath', 'scipy.integrate', 'concurrent.futures'} "
-                "& set(sys.modules)), "
-                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-            ],
-            capture_output=True,
-            text=True,
+            [sys.executable, "-c", code, *args], capture_output=True, text=True, env=src_env()
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[] []"
+        assert proc.stdout.splitlines() == ["[] []", "[] []"]
+
+    def test_sweeps_run_with_no_eigenvalue_solver(self, tmp_path):
+        # The Gauss rules come from Newton's method, not from LAPACK: every
+        # method of every (metric, axis) pair runs with numpy's eigenvalue
+        # routines replaced by stubs that raise.  The last line shows that
+        # the stubs catch numpy's own Gauss rules, which call them.
+        stub = (
+            "import sys\n"
+            "import numpy.linalg\n"
+            "def no_lapack(*args, **kwargs):\n"
+            "    raise RuntimeError('eigenvalue solver called')\n"
+            "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig'):\n"
+            "    setattr(numpy.linalg, name, no_lapack)\n"
+            "from plcsec.cli import main\n"
+            "print([main(['sweep', path]) for path in sys.argv[1:]])\n"
+            "from numpy.polynomial.hermite import hermgauss\n"
+            "try:\n"
+            "    hermgauss(3)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        values = {"transmit_power_db": "[0.0, 30.0]", "n_destinations": "[1, 30]"}
+        paths = []
+        for metric, methods in (("asc", sweep_mod.ASC_METHODS), ("poi", sweep_mod.POI_METHODS)):
+            for axis in sweep_mod.AXES:
+                path = tmp_path / f"{metric}-{axis}.yaml"
+                path.write_text(
+                    f"preset: fig3\nvariant: n10-ph\nmetric: {metric}\naxis: {axis}\n"
+                    f"values: {values[axis]}\nmethods: [{', '.join(methods)}]\n"
+                    "monte_carlo: {samples: 10000, seed: 1}\n"
+                )
+                paths.append(str(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", stub, *paths], capture_output=True, text=True, env=src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "eigenvalue solver called"]
 
     def test_preset_runs_with_scipy_unimportable(self, tmp_path):
         # The blocked run must write the bytes of an ordinary run.
@@ -823,9 +868,7 @@ class TestCli:
             "            raise ModuleNotFoundError(f'No module named {name!r}')\n"
             "sys.meta_path.insert(0, NoScipy())\n"
         )
-        src = str(Path(plcsec.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env()
 
         def run(prelude, out):
             code = "import sys\n" + prelude + "from plcsec.cli import main\nsys.exit(main())\n"
@@ -843,9 +886,7 @@ class TestCli:
     def test_module_entry_point_validates(self, tmp_path, capsys):
         # ``python -m plcsec.cli`` exits with main's status and prints what main does.
         cfg = self._write_config(tmp_path)
-        src = str(Path(plcsec.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env()
         proc = subprocess.run(
             [sys.executable, "-m", "plcsec.cli", "validate", str(cfg)],
             capture_output=True, text=True, env=env,
