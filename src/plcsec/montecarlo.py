@@ -17,12 +17,17 @@ each uniform; no analytical route uses it, so the cross-check stays
 independent.
 
 Memory: a block holds only the arrays it still reads.  Each step writes
-over an array the block owns and no longer needs, each noise state stays a
-boolean mask until its side's gain is formed, and a serial run forms each
-best-destination draw over slices of ``_SLICE`` trials.  A run on worker
-threads draws whole blocks instead: each numpy call of a slice would hand
-the GIL from one worker thread to another, and on two workers those
-handoffs doubled the time of a destination axis.
+over an array the block owns and no longer needs.  Each noise state is a
+boolean indicator, 1 byte per trial, applied in place to its side's gain
+``_SLICE`` trials at a time, so no whole-block array of noise factors is
+formed.  A serial run also draws each indicator and forms each
+best-destination draw ``_SLICE`` trials at a time, so their temporaries
+take 64 KiB each: one 65536-trial block peaks at 1.96 MiB traced over 36
+powers and 3.59 MiB over 16 destination counts.  A run on worker threads
+draws whole blocks instead (6.69 MiB over 16 counts, most of it AS241's
+temporaries): each numpy call of a slice would hand the GIL from one
+worker thread to another, and on two workers those handoffs doubled the
+time of a destination axis.
 
 Reproducibility contract: trials are partitioned into fixed-size blocks,
 each block owning a counter-derived substream of the master seed.  Workers
@@ -122,6 +127,30 @@ def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequ
 
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         return list(pool.map(task, range(len(sizes))))
+
+
+def _indicator(rng: np.random.Generator, m: int, p: float, step: int) -> np.ndarray:
+    """``rng.random(m) < p``, drawn ``step`` uniforms at a time into one
+    boolean array.  Each double takes one word of the stream, so the slices
+    draw the same uniforms as one whole call."""
+    hit = np.empty(m, dtype=bool)
+    for lo in range(0, m, step):
+        np.less(rng.random(min(step, m - lo)), p, out=hit[lo : lo + step])
+    return hit
+
+
+def _apply_state(
+    op: np.ufunc, x: np.ndarray, hit: np.ndarray, levels: tuple, step: int
+) -> np.ndarray:
+    """``op(x, levels[1])`` where the impulse indicator ``hit`` is set and
+    ``op(x, levels[0])`` elsewhere, written over ``x`` ``step`` trials at a
+    time, so a slice's levels take 64 KiB.  (Masked ufuncs, ``where=hit``
+    and ``where=~hit``, form no levels at all but took 3.4 times as long
+    on a 65536-trial block.)"""
+    for lo in range(0, x.size, step):
+        part = x[lo : lo + step]
+        op(part, np.where(hit[lo : lo + step], levels[1], levels[0]), out=part)
+    return x
 
 
 def _best_of_n_normals(
@@ -244,8 +273,8 @@ def mc_asc(
         z_a = rng.standard_normal(m)
         z_bests = _best_of_n_normals(rng, m, ns, step)
         z_e = rng.standard_normal(m)
-        hit_b = rng.random(m) < p_b
-        hit_e = rng.random(m) < p_e
+        hit_b = _indicator(rng, m, p_b, step)
+        hit_e = _indicator(rng, m, p_e, step)
 
         # Overflow leaves a non-finite sample, which scoring reports.  Each
         # step writes over an array this block owns.
@@ -256,19 +285,15 @@ def mc_asc(
                 ln_shared *= src.s
                 ln_shared += src.m
             del z_a
-            x_e = _power_free_gain(z_e, eav, ln_shared, np.where(hit_e, at2e, at1e))
+            x_e = _power_free_gain(z_e, eav, ln_shared, hit_e, (at1e, at2e), step)
             del hit_e
             den = None
             scores = []
             for k, z_best in enumerate(z_bests):
-                if k == 0:
-                    # Formed once, after the first draw has freed its temporaries.
-                    at_b = np.where(hit_b, at2b, at1b)
-                    del hit_b
-                x_b = _power_free_gain(z_best, dest, ln_shared, at_b)
+                x_b = _power_free_gain(z_best, dest, ln_shared, hit_b, (at1b, at2b), step)
                 if k == len(ns) - 1:
                     # Not read again: dropped before the scores need room.
-                    ln_shared = at_b = None
+                    ln_shared = hit_b = None
                 d = _gain_gap(x_b, x_e)
                 if den is None:
                     den = np.empty_like(x_e)
@@ -285,16 +310,20 @@ def mc_asc(
     return axis_results(results, powers is not None or destinations is not None)
 
 
-def _power_free_gain(z: np.ndarray, link, ln_shared: np.ndarray | None, at: np.ndarray):
-    """``at * exp(ln_shared + link.s * z + link.m)``, the side's SNR factor
-    times its gain, written over ``z``."""
+def _power_free_gain(
+    z: np.ndarray, link, ln_shared: np.ndarray | None, hit: np.ndarray, at: tuple, step: int
+) -> np.ndarray:
+    """``exp(ln_shared + link.s * z + link.m)`` times the SNR factor of each
+    trial's noise state, ``at[1]`` where the impulse indicator ``hit`` is set
+    and ``at[0]`` elsewhere: the side's SNR factor times its gain, written
+    over ``z``.  The factors are formed ``step`` trials at a time, and the
+    block holds only the boolean ``hit``, never an array of factors."""
     z *= link.s
     if ln_shared is not None:
         z += ln_shared
     z += link.m
     np.exp(z, out=z)
-    z *= at
-    return z
+    return _apply_state(np.multiply, z, hit, at, step)
 
 
 def _gain_gap(x_b: np.ndarray, x_e: np.ndarray) -> np.ndarray:
@@ -359,23 +388,19 @@ def mc_poi(
     def run_one(rng: np.random.Generator, m: int) -> list:
         z_bests = _best_of_n_normals(rng, m, ns, step)
         rhs = rng.standard_normal(m)
-        hit_b = rng.random(m) < p_b
-        hit_e = rng.random(m) < p_e
+        hit_b = _indicator(rng, m, p_b, step)
+        hit_e = _indicator(rng, m, p_e, step)
         # ln_eav + level_e, formed over the normals.
         rhs *= eav.s
         rhs += eav.m
-        rhs += np.where(hit_e, log_e[1], log_e[0])
+        _apply_state(np.add, rhs, hit_e, log_e, step)
         del hit_e
         hits = []
-        for k, z in enumerate(z_bests):
-            if k == 0:
-                # Formed once, after the first draw has freed its temporaries.
-                level_b = np.where(hit_b, log_b[1], log_b[0])
-                del hit_b
-            # level_b + (s z + m), formed in place.
+        for z in z_bests:
+            # (s z + m) + level_b, formed in place.
             z *= dest.s
             z += dest.m
-            z += level_b
+            _apply_state(np.add, z, hit_b, log_b, step)
             hits.append(int(np.count_nonzero(z < rhs)))
         return hits
 

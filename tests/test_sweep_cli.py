@@ -822,6 +822,35 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[] []", "[] []"]
 
+    @pytest.mark.parametrize(
+        "methods, want",
+        [
+            ("[quadrature, asymptotic]", []),
+            ("[monte-carlo]", ["hashlib", "numpy.random", "secrets"]),
+        ],
+    )
+    def test_only_a_monte_carlo_sweep_loads_numpy_random(self, tmp_path, methods, want):
+        # numpy.random adds about 6 MiB resident, over half of it OpenSSL's
+        # libcrypto through secrets and hashlib, which no analytical route needs.
+        code = (
+            "import sys\n"
+            "from plcsec.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(
+            f"preset: fig3\nvariant: n10-ph\nvalues: [0.0]\nmethods: {methods}\n"
+            "monte_carlo: {samples: 10000, seed: 1, workers: 1}\n"
+        )
+        args = ["sweep", str(cfg), "--out", str(tmp_path / "out.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], capture_output=True, text=True, env=src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [str(want)]
+
     def test_sweeps_run_with_no_eigenvalue_solver(self, tmp_path):
         # The Gauss rules come from Newton's method, not from LAPACK: every
         # method of every (metric, axis) pair runs with numpy's eigenvalue
