@@ -16,18 +16,26 @@ oracle.  The inversion is the vectorized AS241 quantile of
 each uniform; no analytical route uses it, so the cross-check stays
 independent.
 
-Memory: a block holds only the arrays it still reads.  Each step writes
-over an array the block owns and no longer needs.  Each noise state is a
-boolean indicator, 1 byte per trial, applied in place to its side's gain
-``_SLICE`` trials at a time, so no whole-block array of noise factors is
-formed.  A serial run also draws each indicator and forms each
-best-destination draw ``_SLICE`` trials at a time, so their temporaries
-take 64 KiB each: one 65536-trial block peaks at 1.96 MiB traced over 36
-powers and 3.59 MiB over 16 destination counts.  A run on worker threads
-draws whole blocks instead (6.69 MiB over 16 counts, most of it AS241's
-temporaries): each numpy call of a slice would hand the GIL from one
-worker thread to another, and on two workers those handoffs doubled the
-time of a destination axis.
+Memory: a block holds only the arrays it still reads, and each step
+writes over an array the block owns and no longer needs.  A block drawn
+for one destination count (every power axis and every single call) forms
+each side's gain as its draws arrive: the best destination's draw over its
+uniforms as soon as they are drawn, the eavesdropper's normals ``step`` at
+a time into the shared gain's buffer, and each noise state slice by slice
+as its indicator is drawn, so no indicator array is kept.  It holds two
+whole-block arrays while it draws, and the ASC three while it scores
+(``x_e``, ``d`` and ``x_e + 1/P``): one serial 65536-trial block peaks at
+1.51 MiB traced over 36 powers, 1.08 MiB for the POI.  A destination axis
+reads the uniforms' logs, the shared gain and the destination's
+indicator (1 byte per trial) at every count, so it keeps them, and lets
+each count's draw go before it forms the next: 3.09 MiB over 16 counts,
+2.09 MiB for the POI.
+A serial run draws in slices of ``_SLICE`` trials, so the temporaries of
+a best-destination draw, a noise state or a slice of normals take 64 KiB
+each.  A run on worker threads draws whole blocks instead (3.65 MiB for
+one count, 6.19 MiB over 16, most of it AS241's temporaries): each numpy
+call of a slice would hand the GIL from one worker thread to another, and
+on two workers those handoffs doubled the time of a destination axis.
 
 Reproducibility contract: trials are partitioned into fixed-size blocks,
 each block owning a counter-derived substream of the master seed.  Workers
@@ -51,7 +59,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,14 +118,16 @@ def _draw_step(mc: McConfig) -> int:
     return _BLOCK if mc.workers > 1 and mc.samples > _BLOCK else _SLICE
 
 
-def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequence]) -> list:
-    """Evaluate every block on its own substream, in a deterministic layout."""
+def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int, int], Sequence]) -> list:
+    """Evaluate every block on its own substream, in a deterministic layout.
+    ``run_one`` gets the block's generator, its trial count and the run's
+    index of its first trial."""
     sizes = _block_sizes(mc.samples)
     seeds = np.random.SeedSequence(mc.seed).spawn(len(sizes))
 
     def task(i: int) -> Sequence:
         rng = np.random.Generator(np.random.Philox(seeds[i]))
-        return run_one(rng, sizes[i])
+        return run_one(rng, sizes[i], i * _BLOCK)
 
     if mc.workers == 1 or len(sizes) == 1:
         return [task(i) for i in range(len(sizes))]
@@ -129,28 +139,52 @@ def _run_blocks(mc: McConfig, run_one: Callable[[np.random.Generator, int], Sequ
         return list(pool.map(task, range(len(sizes))))
 
 
-def _indicator(rng: np.random.Generator, m: int, p: float, step: int) -> np.ndarray:
-    """``rng.random(m) < p``, drawn ``step`` uniforms at a time into one
-    boolean array.  Each double takes one word of the stream, so the slices
-    draw the same uniforms as one whole call."""
-    hit = np.empty(m, dtype=bool)
-    for lo in range(0, m, step):
-        np.less(rng.random(min(step, m - lo)), p, out=hit[lo : lo + step])
-    return hit
+def _indicator(rng: np.random.Generator, m: int, p: float, step: int) -> Iterator[np.ndarray]:
+    """The impulse indicator ``rng.random(m) < p``, ``step`` trials at a
+    time, each slice drawn when the iterator reaches it.  Each double takes
+    one word of the stream, so the slices draw the same uniforms as one
+    whole call."""
+    return (rng.random(min(step, m - lo)) < p for lo in range(0, m, step))
 
 
 def _apply_state(
-    op: np.ufunc, x: np.ndarray, hit: np.ndarray, levels: tuple, step: int
+    op: np.ufunc, x: np.ndarray, hits: Iterable[np.ndarray], levels: tuple, step: int
 ) -> np.ndarray:
-    """``op(x, levels[1])`` where the impulse indicator ``hit`` is set and
+    """``op(x, levels[1])`` where the impulse indicator is set and
     ``op(x, levels[0])`` elsewhere, written over ``x`` ``step`` trials at a
-    time, so a slice's levels take 64 KiB.  (Masked ufuncs, ``where=hit``
-    and ``where=~hit``, form no levels at all but took 3.4 times as long
-    on a 65536-trial block.)"""
-    for lo in range(0, x.size, step):
+    time, so a slice's levels take 64 KiB.  ``hits`` gives the indicator of
+    each slice in turn, as :func:`_indicator` draws it or from a list of
+    slices kept for several counts.  (Masked ufuncs, ``where=hit`` and
+    ``where=~hit``, form no levels at all but took 3.4 times as long on a
+    65536-trial block.)"""
+    for lo, hit in zip(range(0, x.size, step), hits):
         part = x[lo : lo + step]
-        op(part, np.where(hit[lo : lo + step], levels[1], levels[0]), out=part)
+        op(part, np.where(hit, levels[1], levels[0]), out=part)
     return x
+
+
+def _log_gain(
+    z: np.ndarray, link, ln_shared: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``link.s * z + ln_shared + link.m``, a side's log gain without its
+    noise state, written over ``z`` or to ``out``."""
+    z *= link.s
+    if ln_shared is not None:
+        z += ln_shared
+    return np.add(z, link.m, out=z if out is None else out)
+
+
+def _drawn_log_gain(
+    rng: np.random.Generator, out: np.ndarray, link, ln_shared: np.ndarray | None, step: int
+) -> np.ndarray:
+    """:func:`_log_gain` of ``out.size`` standard normals, drawn ``step`` at
+    a time and written to ``out``, which may be ``ln_shared`` itself.  A
+    ziggurat draw taken in slices reads the stream as one call does."""
+    for lo in range(0, out.size, step):
+        part = out[lo : lo + step]
+        shared = None if ln_shared is None else ln_shared[lo : lo + step]
+        _log_gain(rng.standard_normal(part.size), link, shared, part)
+    return out
 
 
 def _best_of_n_normals(
@@ -234,13 +268,15 @@ def mc_asc(
     and ``d = max(x_b - x_e, 0)``, and converted to bits once per result.
     Where ``P x`` overflows, as at 3000 dB, the sample stays finite and the
     estimate saturates; a sample that still overflows, or an infinite
-    gain, is reported by trial index.
+    gain, is reported by its trial's index in the run.
 
     With ``powers``, a sequence of linear transmit powers, each block draws
     its trials, forms ``x_e`` and ``d`` once and scores them at every power
     in turn (common random numbers): per power one buffer takes
     ``x_e + 1/P``, then the division, the ``log1p`` and the two sums over
-    it.  By then the block holds only ``x_e``, ``d`` and that buffer.
+    it.  While it scores, the block holds only ``x_e``, ``d`` and that
+    buffer, and while it draws, two whole-block arrays: each side's gain is
+    formed as its draws arrive.
     A list with one entry per power is returned: entry ``k`` is bit for bit
     the result of ``mc_asc(replace(cfg, transmit_power=powers[k]), mc)``, or
     the :class:`EvaluationError` that call raises.  ``cfg.transmit_power``
@@ -264,42 +300,50 @@ def mc_asc(
     step = _draw_step(mc)
     (_, at1b), (p_b, at2b) = noise_states(cfg.dest_noise)
     (_, at1e), (p_e, at2e) = noise_states(cfg.eav_noise)
+    at_b, at_e = (at1b, at2b), (at1e, at2e)
 
-    def run_one(rng: np.random.Generator, m: int) -> list:
+    def run_one(rng: np.random.Generator, m: int, first: int) -> list:
         # Fixed draw order per block: shared gain, best destination (one
         # uniform per trial), eavesdropper, then the two noise states.  The
         # shared-gain normals are consumed even without a pinhole so paired
-        # comparisons share randomness.
-        z_a = rng.standard_normal(m)
-        z_bests = _best_of_n_normals(rng, m, ns, step)
-        z_e = rng.standard_normal(m)
-        hit_b = _indicator(rng, m, p_b, step)
-        hit_e = _indicator(rng, m, p_e, step)
-
-        # Overflow leaves a non-finite sample, which scoring reports.  Each
-        # step writes over an array this block owns.
+        # comparisons share randomness.  Overflow leaves a non-finite
+        # sample, which scoring reports.  Each step writes over an array
+        # this block owns.
         with np.errstate(over="ignore", invalid="ignore"):
-            ln_shared = None
-            if topo.pinhole_present:
-                ln_shared = z_a
-                ln_shared *= src.s
-                ln_shared += src.m
-            del z_a
-            x_e = _power_free_gain(z_e, eav, ln_shared, hit_e, (at1e, at2e), step)
-            del hit_e
-            den = None
+            z_a = rng.standard_normal(m)
+            ln_shared = _log_gain(z_a, src) if topo.pinhole_present else None
+            z_bests = _best_of_n_normals(rng, m, ns, step)
+            if len(ns) == 1:
+                # Formed as soon as its uniforms are drawn: ln_shared is then
+                # read no more, x_e takes its buffer, and each noise state
+                # is applied as it is drawn.
+                (z_best,) = z_bests
+                x_b = _power_free_gain(z_best, dest, ln_shared)
+                x_e = _drawn_log_gain(rng, z_a, eav, ln_shared, step)
+                x_bs = [_apply_state(np.multiply, x_b, _indicator(rng, m, p_b, step), at_b, step)]
+            else:
+                # Every count reads ln_shared and the destination's state;
+                # map holds no count's draw while it forms the next.
+                buf = z_a if ln_shared is None else np.empty(m)
+                x_e = _drawn_log_gain(rng, buf, eav, ln_shared, step)
+                hits_b = list(_indicator(rng, m, p_b, step))
+                x_bs = map(
+                    lambda z: _apply_state(
+                        np.multiply, _power_free_gain(z, dest, ln_shared), hits_b, at_b, step
+                    ),
+                    z_bests,
+                )
+            np.exp(x_e, out=x_e)
+            _apply_state(np.multiply, x_e, _indicator(rng, m, p_e, step), at_e, step)
+            den = np.empty_like(x_e)
             scores = []
-            for k, z_best in enumerate(z_bests):
-                x_b = _power_free_gain(z_best, dest, ln_shared, hit_b, (at1b, at2b), step)
-                if k == len(ns) - 1:
-                    # Not read again: dropped before the scores need room.
-                    ln_shared = hit_b = None
+            for x_b in x_bs:
                 d = _gain_gap(x_b, x_e)
-                if den is None:
-                    den = np.empty_like(x_e)
                 for power in axis:
                     np.add(x_e, 1.0 / power, out=den)
-                    scores.append(_score(_secrecy_sample(d, den, den)))
+                    scores.append(_score(_secrecy_sample(d, den, den), first))
+                # Let go before the next count's draw is formed.
+                del x_b, d
             return scores
 
     partials = _run_blocks(mc, run_one)
@@ -310,20 +354,10 @@ def mc_asc(
     return axis_results(results, powers is not None or destinations is not None)
 
 
-def _power_free_gain(
-    z: np.ndarray, link, ln_shared: np.ndarray | None, hit: np.ndarray, at: tuple, step: int
-) -> np.ndarray:
-    """``exp(ln_shared + link.s * z + link.m)`` times the SNR factor of each
-    trial's noise state, ``at[1]`` where the impulse indicator ``hit`` is set
-    and ``at[0]`` elsewhere: the side's SNR factor times its gain, written
-    over ``z``.  The factors are formed ``step`` trials at a time, and the
-    block holds only the boolean ``hit``, never an array of factors."""
-    z *= link.s
-    if ln_shared is not None:
-        z += ln_shared
-    z += link.m
-    np.exp(z, out=z)
-    return _apply_state(np.multiply, z, hit, at, step)
+def _power_free_gain(z: np.ndarray, link, ln_shared: np.ndarray | None) -> np.ndarray:
+    """``exp(ln_shared + link.s * z + link.m)``, a side's SNR factor times
+    its gain before its noise state is applied, written over ``z``."""
+    return np.exp(_log_gain(z, link, ln_shared), out=z)
 
 
 def _gain_gap(x_b: np.ndarray, x_e: np.ndarray) -> np.ndarray:
@@ -346,16 +380,17 @@ def _secrecy_sample(d: np.ndarray, den: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.log1p(out, out=out)
 
 
-def _score(cs: np.ndarray) -> tuple | EvaluationError:
+def _score(cs: np.ndarray, first: int) -> tuple | EvaluationError:
     """Sum and sum of squares of one block's secrecy samples, in nats, or
-    the error naming its first non-finite sample.  ``cs`` is overwritten."""
+    the error naming its first non-finite sample by its index in the run;
+    ``first`` is the run's index of the block's first trial.  ``cs`` is
+    overwritten."""
     # Each sample is >= 0, NaN or +inf, and below 710 when finite, so the
     # sum is finite exactly when every sample is.
     total = float(cs.sum())
     if not math.isfinite(total):
-        return EvaluationError(
-            f"non-finite secrecy sample at trial index {int(np.argmax(~np.isfinite(cs)))}"
-        )
+        index = first + int(np.argmax(~np.isfinite(cs)))
+        return EvaluationError(f"non-finite secrecy sample at trial index {index}")
     # Squared in place and summed by numpy, not by a BLAS dot product, whose
     # rounding depends on the BLAS thread count.
     cs *= cs
@@ -385,24 +420,26 @@ def mc_poi(
     log_b = (math.log(at1b), math.log(at2b))
     log_e = (math.log(at1e), math.log(at2e))
 
-    def run_one(rng: np.random.Generator, m: int) -> list:
+    def run_one(rng: np.random.Generator, m: int, _first: int) -> list:
         z_bests = _best_of_n_normals(rng, m, ns, step)
-        rhs = rng.standard_normal(m)
-        hit_b = _indicator(rng, m, p_b, step)
-        hit_e = _indicator(rng, m, p_e, step)
-        # ln_eav + level_e, formed over the normals.
-        rhs *= eav.s
-        rhs += eav.m
-        _apply_state(np.add, rhs, hit_e, log_e, step)
-        del hit_e
-        hits = []
-        for z in z_bests:
-            # (s z + m) + level_b, formed in place.
-            z *= dest.s
-            z += dest.m
-            _apply_state(np.add, z, hit_b, log_b, step)
-            hits.append(int(np.count_nonzero(z < rhs)))
-        return hits
+        if len(ns) == 1:
+            # Formed over the uniforms as soon as they are drawn, and its
+            # noise state as it is drawn.
+            (z_best,) = z_bests
+            z_best = _log_gain(z_best, dest)
+            rhs = _drawn_log_gain(rng, np.empty(m), eav, None, step)
+            zs = [_apply_state(np.add, z_best, _indicator(rng, m, p_b, step), log_b, step)]
+        else:
+            # (s z + m) + level_b per count; map holds no count's draw while
+            # it forms the next.
+            rhs = _drawn_log_gain(rng, np.empty(m), eav, None, step)
+            hits_b = list(_indicator(rng, m, p_b, step))
+            zs = map(
+                lambda z: _apply_state(np.add, _log_gain(z, dest), hits_b, log_b, step), z_bests
+            )
+        # ln_eav + level_e.
+        _apply_state(np.add, rhs, _indicator(rng, m, p_e, step), log_e, step)
+        return list(map(lambda z: int(np.count_nonzero(z < rhs)), zs))
 
     partials = _run_blocks(mc, run_one)
     z = _z_score(mc.confidence)

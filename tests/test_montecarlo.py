@@ -282,10 +282,12 @@ class TestSecrecySample:
         x_b = np.full(8, 2.0)
         x_e = np.ones(8)
         x_b[5], x_e[5] = np.inf, x_e_at_index
+        # A block that starts at trial 131072 of the run names trial 5 of
+        # its own by its index in the run.
         with np.errstate(invalid="ignore"):
-            err = mc_mod._score(secrecy_sample(x_b, x_e, np.full(8, 10.0)))
+            err = mc_mod._score(secrecy_sample(x_b, x_e, np.full(8, 10.0)), 2 * mc_mod._BLOCK)
         assert isinstance(err, EvaluationError)
-        assert str(err) == "non-finite secrecy sample at trial index 5"
+        assert str(err) == "non-finite secrecy sample at trial index 131077"
 
 
 class TestBestOfNSampler:
@@ -359,23 +361,28 @@ class TestBestOfNSampler:
         "call, whole, bound_mib",
         [
             (lambda cfg, mc: mc_asc(cfg, mc, powers=[10 ** (db / 10) for db in range(-10, 62, 2)]),
-             False, 2.05),
-            (lambda cfg, mc: mc_poi(cfg, mc), False, 1.55),
-            (lambda cfg, mc: mc_asc(cfg, mc, destinations=range(1, 17)), False, 3.8),
-            (lambda cfg, mc: mc_poi(cfg, mc, destinations=range(1, 17)), False, 2.8),
-            (lambda cfg, mc: mc_asc(cfg, mc, destinations=range(1, 17)), True, 6.9),
-            (lambda cfg, mc: mc_poi(cfg, mc, destinations=range(1, 17)), True, 5.9),
+             False, 1.7),
+            (lambda cfg, mc: mc_poi(cfg, mc), False, 1.25),
+            (lambda cfg, mc: mc_asc(cfg, mc, destinations=range(1, 17)), False, 3.35),
+            (lambda cfg, mc: mc_poi(cfg, mc, destinations=range(1, 17)), False, 2.35),
+            (lambda cfg, mc: mc_asc(cfg, mc, powers=[10 ** (db / 10) for db in range(-10, 62, 2)]),
+             True, 3.9),
+            (lambda cfg, mc: mc_poi(cfg, mc), True, 3.4),
+            (lambda cfg, mc: mc_asc(cfg, mc, destinations=range(1, 17)), True, 6.45),
+            (lambda cfg, mc: mc_poi(cfg, mc, destinations=range(1, 17)), True, 5.45),
         ],
         ids=["asc-36-powers", "poi", "asc-n1..16", "poi-n1..16",
-             "asc-n1..16-whole", "poi-n1..16-whole"],
+             "asc-36-powers-whole", "poi-whole", "asc-n1..16-whole", "poi-n1..16-whole"],
     )
     def test_one_block_holds_only_what_it_reads(self, monkeypatch, call, whole, bound_mib):
-        # One full block: 512 KiB per float array, 64 KiB per noise state.
-        # A serial run measures 1.96, 1.46, 3.59 and 2.59 MiB; a whole-block
-        # draw, as on worker threads, 6.69 and 5.70 MiB.  Each bound sits
-        # below the peak with a whole-block float array per noise state
-        # (2.13, 1.63, 4.02, 3.02, 7.13 and 6.13 MiB).  The whole-block draw
-        # is measured in this thread: two racing workers would move the peak.
+        # One full block: 512 KiB per float array.  A serial run measures
+        # 1.51, 1.08, 3.09 and 2.09 MiB; a whole-block draw, as on worker
+        # threads, 3.65, 3.14, 6.19 and 5.20 MiB.  Each bound sits below the
+        # peak with a third whole-block array held while a single count
+        # draws, or the last count's draw held while an axis forms the next
+        # (1.96, 1.46, 3.59, 2.59, 4.22, 3.70, 6.69 and 5.70 MiB).  The
+        # whole-block draw is measured in this thread: two racing workers
+        # would move the peak.
         if whole:
             monkeypatch.setattr(mc_mod, "_draw_step", lambda mc: mc_mod._BLOCK)
         cfg = make_config()
@@ -496,6 +503,24 @@ class TestDestinationAxis:
         for n, got in zip(AXIS_NS, axis):
             assert_same_entry(got, one_count(mc_asc, cfg, mc, n), n)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_non_finite_sample_is_named_by_its_trial_in_the_run(self, workers):
+        # The scenario above at N = 1000: the first block's 65536 trials
+        # all score, so the first non-finite sample lies in the second
+        # block, and it is the same trial in a run of 131072 or 140000.
+        cfg = make_config(
+            pinhole=False, m_a=0.0, s_a=1e-9, m_b=702.0, p_b=0.0, p_e=0.0, power=1.0, n=1000
+        )
+        block = mc_mod._BLOCK
+        assert mc_asc(cfg, McConfig(samples=block, seed=3, workers=workers)).value > 0.0
+        for samples in (2 * block, 140_000):
+            mc = McConfig(samples=samples, seed=3, workers=workers)
+            with pytest.raises(EvaluationError) as exc:
+                mc_asc(cfg, mc)
+            assert str(exc.value) == "non-finite secrecy sample at trial index 115194"
+            (got,) = mc_asc(cfg, mc, destinations=(1000,))
+            assert str(got) == str(exc.value)
+
     def test_any_order_and_repeats(self):
         cfg = make_config()
         mc = McConfig(samples=70_000, seed=5)
@@ -506,16 +531,24 @@ class TestDestinationAxis:
             assert route(cfg, mc, destinations=()) == []
         assert mc_asc(cfg, mc, powers=()) == []
 
-    def test_bit_identical_across_workers(self):
-        # Two workers draw whole blocks, one worker draws them in slices.
-        cfg = make_config(p_b=0.1, p_e=0.1)
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("pinhole", [True, False], ids=["pinhole", "no-pinhole"])
+    def test_bit_identical_across_workers(self, pinhole, p):
+        # Two workers draw whole blocks, one worker draws them in slices.  A
+        # call at one count forms each side's gain as its draws arrive (over
+        # the shared gain's buffer, or over the unused one without a
+        # pinhole), an axis in draw order; both must give the same bits.
+        cfg = make_config(pinhole=pinhole, p_b=p, p_e=p)
         for route in (mc_asc, mc_poi):
             serial, pooled = (
-                route(cfg, McConfig(samples=140_000, seed=8, workers=w), destinations=AXIS_NS)
+                route(cfg, McConfig(samples=70_000, seed=8, workers=w), destinations=AXIS_NS)
                 for w in (1, 2)
             )
             for n, got, want in zip(AXIS_NS, pooled, serial):
                 assert_same_entry(got, want, (route.__name__, n))
+                for workers in (1, 2):
+                    mc = McConfig(samples=70_000, seed=8, workers=workers)
+                    assert_same_entry(one_count(route, cfg, mc, n), want, (route.__name__, workers, n))
 
     def test_powers_and_destinations_together_raise(self):
         with pytest.raises(ConfigError, match="not both"):
