@@ -17,25 +17,21 @@ each uniform; no analytical route uses it, so the cross-check stays
 independent.
 
 Memory: a block holds only the arrays it still reads, and each step
-writes over an array the block owns and no longer needs.  A block drawn
-for one destination count (every power axis and every single call) forms
-each side's gain as its draws arrive: the best destination's draw over its
-uniforms as soon as they are drawn, the eavesdropper's normals ``step`` at
-a time into the shared gain's buffer, and each noise state slice by slice
-as its indicator is drawn, so no indicator array is kept.  It holds two
-whole-block arrays while it draws, and the ASC three while it scores
-(``x_e``, ``d`` and ``x_e + 1/P``): one serial 65536-trial block peaks at
-1.51 MiB traced over 36 powers, 1.08 MiB for the POI.  A destination axis
-reads the uniforms' logs, the shared gain and the destination's
-indicator (1 byte per trial) at every count, so it keeps them, and lets
-each count's draw go before it forms the next: 3.09 MiB over 16 counts,
-2.09 MiB for the POI.
+writes over an array the block owns and no longer needs.  One body serves
+a single call, a power axis and a destination axis.  It forms the first
+count's best-destination draw as soon as its uniforms are drawn (over
+their buffer when it is the only count), then the eavesdropper's side from
+normals drawn ``step`` at a time; the ASC writes that side over the shared
+gain's buffer unless a later count still reads the shared gain.  The
+destination's impulse indicator (1 byte per trial) is kept in slices for
+every count, the eavesdropper's is applied as it is drawn, and each later
+count's draw is formed only once the one before it is scored and let go.
 A serial run draws in slices of ``_SLICE`` trials, so the temporaries of
 a best-destination draw, a noise state or a slice of normals take 64 KiB
-each.  A run on worker threads draws whole blocks instead (3.65 MiB for
-one count, 6.19 MiB over 16, most of it AS241's temporaries): each numpy
-call of a slice would hand the GIL from one worker thread to another, and
-on two workers those handoffs doubled the time of a destination axis.
+each.  A run on worker threads draws whole blocks instead, and most of its
+peak is AS241's whole-block temporaries: each numpy call of a slice would
+hand the GIL from one worker thread to another, and on two workers those
+handoffs doubled the time of a destination axis.
 
 Reproducibility contract: trials are partitioned into fixed-size blocks,
 each block owning a counter-derived substream of the master seed.  Workers
@@ -56,6 +52,7 @@ value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,9 +93,12 @@ class McConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            # A plain int keeps a spec holding this config YAML-dumpable.
+            object.__setattr__(self, name, int(value))
         c = self.confidence
         if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0.5 < c < 1.0:
             raise ConfigError(f"confidence must be a number in (0.5, 1), got {c!r}")
+        object.__setattr__(self, "confidence", float(c))
 
 
 def _z_score(confidence: float) -> float:
@@ -154,7 +154,7 @@ def _apply_state(
     ``op(x, levels[0])`` elsewhere, written over ``x`` ``step`` trials at a
     time, so a slice's levels take 64 KiB.  ``hits`` gives the indicator of
     each slice in turn, as :func:`_indicator` draws it or from a list of
-    slices kept for several counts.  (Masked ufuncs, ``where=hit`` and
+    slices kept for every count.  (Masked ufuncs, ``where=hit`` and
     ``where=~hit``, form no levels at all but took 3.4 times as long on a
     65536-trial block.)"""
     for lo, hit in zip(range(0, x.size, step), hits):
@@ -274,9 +274,7 @@ def mc_asc(
     its trials, forms ``x_e`` and ``d`` once and scores them at every power
     in turn (common random numbers): per power one buffer takes
     ``x_e + 1/P``, then the division, the ``log1p`` and the two sums over
-    it.  While it scores, the block holds only ``x_e``, ``d`` and that
-    buffer, and while it draws, two whole-block arrays: each side's gain is
-    formed as its draws arrive.
+    it.
     A list with one entry per power is returned: entry ``k`` is bit for bit
     the result of ``mc_asc(replace(cfg, transmit_power=powers[k]), mc)``, or
     the :class:`EvaluationError` that call raises.  ``cfg.transmit_power``
@@ -288,8 +286,9 @@ def mc_asc(
     the error that call raises, and ``cfg.topology.n_destinations`` is not
     used.  A block's draws do not depend on the count, so each block draws
     them, and forms ``x_e``, once; per count it forms only the best
-    destination's draw, ``d`` and the score.  At most one of
-    ``powers`` and ``destinations`` may be given.
+    destination's draw, ``d`` and the score.  At most one of ``powers`` and
+    ``destinations`` may be given.  The module docstring gives the
+    block's memory layout.
     """
     axis, ns = route_axes(cfg, powers, destinations)
     if not (axis and ns):
@@ -312,38 +311,29 @@ def mc_asc(
         with np.errstate(over="ignore", invalid="ignore"):
             z_a = rng.standard_normal(m)
             ln_shared = _log_gain(z_a, src) if topo.pinhole_present else None
-            z_bests = _best_of_n_normals(rng, m, ns, step)
-            if len(ns) == 1:
-                # Formed as soon as its uniforms are drawn: ln_shared is then
-                # read no more, x_e takes its buffer, and each noise state
-                # is applied as it is drawn.
-                (z_best,) = z_bests
-                x_b = _power_free_gain(z_best, dest, ln_shared)
-                x_e = _drawn_log_gain(rng, z_a, eav, ln_shared, step)
-                x_bs = [_apply_state(np.multiply, x_b, _indicator(rng, m, p_b, step), at_b, step)]
-            else:
-                # Every count reads ln_shared and the destination's state;
-                # map holds no count's draw while it forms the next.
-                buf = z_a if ln_shared is None else np.empty(m)
-                x_e = _drawn_log_gain(rng, buf, eav, ln_shared, step)
-                hits_b = list(_indicator(rng, m, p_b, step))
-                x_bs = map(
-                    lambda z: _apply_state(
-                        np.multiply, _power_free_gain(z, dest, ln_shared), hits_b, at_b, step
-                    ),
-                    z_bests,
-                )
+            gains = map(
+                lambda z: _power_free_gain(z, dest, ln_shared),
+                _best_of_n_normals(rng, m, ns, step),
+            )
+            # The first count's gain is formed as its uniforms arrive; a
+            # one-shot iterator lets it go once it is scored.
+            x_bs = itertools.chain(iter([next(gains)]), gains)
+            # Later counts read ln_shared, so x_e takes its buffer only
+            # when there are none.
+            buf = z_a if ln_shared is None or len(ns) == 1 else np.empty(m)
+            x_e = _drawn_log_gain(rng, buf, eav, ln_shared, step)
+            hits_b = list(_indicator(rng, m, p_b, step))
             np.exp(x_e, out=x_e)
             _apply_state(np.multiply, x_e, _indicator(rng, m, p_e, step), at_e, step)
-            den = np.empty_like(x_e)
             scores = []
             for x_b in x_bs:
-                d = _gain_gap(x_b, x_e)
+                d = _gain_gap(_apply_state(np.multiply, x_b, hits_b, at_b, step), x_e)
+                den = np.empty_like(x_e)
                 for power in axis:
                     np.add(x_e, 1.0 / power, out=den)
                     scores.append(_score(_secrecy_sample(d, den, den), first))
                 # Let go before the next count's draw is formed.
-                del x_b, d
+                del x_b, d, den
             return scores
 
     partials = _run_blocks(mc, run_one)
@@ -407,8 +397,8 @@ def mc_poi(
     of the inequality, so they are omitted rather than cancelled in floating
     point.  Trial outcomes are therefore identical across transmit powers
     under common random numbers by construction.  ``destinations`` works as
-    in :func:`mc_asc`: each block draws once, and its eavesdropper side is
-    formed once, for every count.
+    in :func:`mc_asc`: each block draws once, and forms its eavesdropper
+    side once, for every count.
     """
     _, ns = route_axes(cfg, destinations=destinations)
     if not ns:
@@ -421,25 +411,17 @@ def mc_poi(
     log_e = (math.log(at1e), math.log(at2e))
 
     def run_one(rng: np.random.Generator, m: int, _first: int) -> list:
-        z_bests = _best_of_n_normals(rng, m, ns, step)
-        if len(ns) == 1:
-            # Formed over the uniforms as soon as they are drawn, and its
-            # noise state as it is drawn.
-            (z_best,) = z_bests
-            z_best = _log_gain(z_best, dest)
-            rhs = _drawn_log_gain(rng, np.empty(m), eav, None, step)
-            zs = [_apply_state(np.add, z_best, _indicator(rng, m, p_b, step), log_b, step)]
-        else:
-            # (s z + m) + level_b per count; map holds no count's draw while
-            # it forms the next.
-            rhs = _drawn_log_gain(rng, np.empty(m), eav, None, step)
-            hits_b = list(_indicator(rng, m, p_b, step))
-            zs = map(
-                lambda z: _apply_state(np.add, _log_gain(z, dest), hits_b, log_b, step), z_bests
-            )
-        # ln_eav + level_e.
+        # s z + m per count, the first as its uniforms arrive; a one-shot
+        # iterator lets it go once it is counted.
+        lhs = map(lambda z: _log_gain(z, dest), _best_of_n_normals(rng, m, ns, step))
+        lhs = itertools.chain(iter([next(lhs)]), lhs)
+        rhs = _drawn_log_gain(rng, np.empty(m), eav, None, step)
+        hits_b = list(_indicator(rng, m, p_b, step))
+        # ln_eav + level_e, and + level_b per count; map holds no count's
+        # draw while it forms the next.
         _apply_state(np.add, rhs, _indicator(rng, m, p_e, step), log_e, step)
-        return list(map(lambda z: int(np.count_nonzero(z < rhs)), zs))
+        lhs = map(lambda z: _apply_state(np.add, z, hits_b, log_b, step), lhs)
+        return list(map(lambda z: int(np.count_nonzero(z < rhs)), lhs))
 
     partials = _run_blocks(mc, run_one)
     z = _z_score(mc.confidence)

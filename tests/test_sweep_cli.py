@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,15 @@ class TestSweepSpecValidation:
     def test_numpy_quadrature_order_dumps_as_int(self):
         spec = small_spec(quadrature_order=np.int64(32))
         assert type(spec.quadrature_order) is int
+        assert loads_config(dump_config(spec)) == spec
+
+    def test_numpy_monte_carlo_fields_dump_as_plain_numbers(self):
+        mc = McConfig(
+            samples=np.int64(100_000), seed=np.int64(1), workers=np.int32(2),
+            confidence=np.float32(0.95),
+        )
+        assert [type(v) for v in astuple(mc)] == [int, int, int, float]
+        spec = small_spec(mc=mc)
         assert loads_config(dump_config(spec)) == spec
 
     @pytest.mark.parametrize(
@@ -929,6 +938,7 @@ class TestCli:
             [sys.executable, "-m", "plcsec.cli", "--help"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert "sweep" in proc.stdout and "preset" in proc.stdout
